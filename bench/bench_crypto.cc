@@ -1,6 +1,7 @@
-// Crypto kernel throughput: AES-CTR and SHA-256 scalar vs hardware
-// (AES-NI / SHA-NI), plus the dispatched AEAD seal/open path every wire
-// record and payload ciphertext goes through.
+// Crypto kernel throughput: AES-CTR, AES-CBC and SHA-256 scalar vs
+// hardware (AES-NI / SHA-NI), plus the dispatched AEAD seal/open path
+// every wire record goes through. CBC is the payload path: every insert
+// encrypts one object and every query decrypts each candidate.
 //
 // Both implementations of each kernel are driven directly (kernels.h
 // exposes them independent of the process-wide dispatch), so one run
@@ -8,11 +9,12 @@
 // Before any timing, the two are cross-checked on random inputs of
 // awkward lengths — a benchmark of a wrong kernel is worse than none.
 //
-// Acceptance gate (the run aborts when violated): when the AES-NI
-// kernel is available, accelerated AES-CTR must be >= 3x the scalar
-// throughput. On scalar-only boxes (or under
-// SIMCLOUD_FORCE_SCALAR_CRYPTO=1 — which only affects the dispatched
-// AEAD section here) the gate is skipped and reported as such.
+// Acceptance gates (the run aborts when violated): when the AES-NI
+// kernels are available, accelerated AES-CTR must be >= 3x and
+// accelerated AES-CBC decrypt >= 10x the scalar throughput. On
+// scalar-only boxes (or under SIMCLOUD_FORCE_SCALAR_CRYPTO=1 — which
+// only affects the dispatched AEAD section here) the gates are skipped
+// and reported as such.
 //
 // Usage: bench_crypto [--smoke]
 //   --smoke  smaller buffers and fewer passes, for CI.
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -57,6 +60,30 @@ void CrossCheckKernels(const crypto::Aes& aes) {
                           input.data(), accel.data(), len);
       if (scalar != accel) {
         std::fprintf(stderr, "FAIL: AES-NI CTR mismatch at len %zu\n", len);
+        std::exit(1);
+      }
+    }
+    for (size_t blocks : {1u, 7u, 8u, 9u, 16u, 17u, 256u}) {
+      const size_t len = blocks * 16;
+      const Bytes input = RandomBytes(&rng, len);
+      const Bytes iv = RandomBytes(&rng, 16);
+      Bytes scalar(len), accel(len);
+      crypto::ScalarAesCbcEncrypt(aes, iv.data(), input.data(),
+                                  scalar.data(), len);
+      crypto::AesNiCbcEncrypt(aes.round_key_bytes(), aes.rounds(), iv.data(),
+                              input.data(), accel.data(), len);
+      if (scalar != accel) {
+        std::fprintf(stderr, "FAIL: AES-NI CBC encrypt mismatch at %zu "
+                     "blocks\n", blocks);
+        std::exit(1);
+      }
+      crypto::ScalarAesCbcDecrypt(aes, iv.data(), input.data(),
+                                  scalar.data(), len);
+      crypto::AesNiCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv.data(),
+                              input.data(), accel.data(), len);
+      if (scalar != accel) {
+        std::fprintf(stderr, "FAIL: AES-NI CBC decrypt mismatch at %zu "
+                     "blocks\n", blocks);
         std::exit(1);
       }
     }
@@ -121,23 +148,53 @@ void Run(bool smoke) {
   Bytes buffer = RandomBytes(&rng, buf_len);
   Bytes out(buf_len);
 
-  // ------------------------------------------------------------ AES-CTR
-  const double ctr_scalar = MeasureMbps(buf_len, min_seconds, [&] {
-    crypto::ScalarAesCtrXor(*aes, iv.data(), buffer.data(), out.data(),
-                            buf_len);
-  });
-  double ctr_accel = 0;
-  if (crypto::AesNiKernelAvailable()) {
-    ctr_accel = MeasureMbps(buf_len, min_seconds, [&] {
-      crypto::AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(),
-                          buffer.data(), out.data(), buf_len);
-    });
-    std::printf("%-22s %12.1f %12.1f %8.1fx\n", "aes-128-ctr", ctr_scalar,
-                ctr_accel, ctr_accel / ctr_scalar);
-  } else {
-    std::printf("%-22s %12.1f %12s %9s\n", "aes-128-ctr", ctr_scalar, "-",
-                "-");
-  }
+  // -------------------------------------------------- AES-CTR / AES-CBC
+  // Each row times the scalar reference and, when present, the AES-NI
+  // twin over the same buffer; returns {scalar, accel} MB/s (accel 0 when
+  // the kernel is unavailable).
+  auto aes_row = [&](const char* name, auto&& scalar_fn, auto&& accel_fn) {
+    const double scalar = MeasureMbps(buf_len, min_seconds, scalar_fn);
+    if (!crypto::AesNiKernelAvailable()) {
+      std::printf("%-22s %12.1f %12s %9s\n", name, scalar, "-", "-");
+      return std::make_pair(scalar, 0.0);
+    }
+    const double accel = MeasureMbps(buf_len, min_seconds, accel_fn);
+    std::printf("%-22s %12.1f %12.1f %8.1fx\n", name, scalar, accel,
+                accel / scalar);
+    return std::make_pair(scalar, accel);
+  };
+  const uint8_t* keys = aes->round_key_bytes();
+  const int rounds = aes->rounds();
+  const auto [ctr_scalar, ctr_accel] = aes_row(
+      "aes-128-ctr",
+      [&] {
+        crypto::ScalarAesCtrXor(*aes, iv.data(), buffer.data(), out.data(),
+                                buf_len);
+      },
+      [&] {
+        crypto::AesNiCtrXor(keys, rounds, iv.data(), buffer.data(),
+                            out.data(), buf_len);
+      });
+  const auto [cbc_dec_scalar, cbc_dec_accel] = aes_row(
+      "aes-128-cbc decrypt",
+      [&] {
+        crypto::ScalarAesCbcDecrypt(*aes, iv.data(), buffer.data(),
+                                    out.data(), buf_len);
+      },
+      [&] {
+        crypto::AesNiCbcDecrypt(keys, rounds, iv.data(), buffer.data(),
+                                out.data(), buf_len);
+      });
+  aes_row(
+      "aes-128-cbc encrypt",
+      [&] {
+        crypto::ScalarAesCbcEncrypt(*aes, iv.data(), buffer.data(),
+                                    out.data(), buf_len);
+      },
+      [&] {
+        crypto::AesNiCbcEncrypt(keys, rounds, iv.data(), buffer.data(),
+                                out.data(), buf_len);
+      });
 
   // ------------------------------------------------------------ SHA-256
   uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -181,22 +238,31 @@ void Run(bool smoke) {
   std::printf("%-22s %12.1f MB/s\n", "aead seal", seal_mbps);
   std::printf("%-22s %12.1f MB/s\n", "aead open", open_mbps);
 
-  // ---------------------------------------------------- acceptance gate
+  // --------------------------------------------------- acceptance gates
   if (crypto::AesNiKernelAvailable()) {
-    const double speedup = ctr_accel / ctr_scalar;
-    if (speedup < 3.0) {
+    const double ctr_speedup = ctr_accel / ctr_scalar;
+    const double cbc_speedup = cbc_dec_accel / cbc_dec_scalar;
+    if (ctr_speedup < 3.0) {
       std::fprintf(stderr,
                    "FAIL: AES-NI CTR is %.2fx the scalar kernel "
                    "(acceptance gate: >= 3x)\n",
-                   speedup);
+                   ctr_speedup);
       std::exit(1);
     }
-    std::printf("bench_crypto OK (aes-ctr %.1fx >= 3x%s)\n", speedup,
-                crypto::ShaNiKernelAvailable()
-                    ? ", sha-ni cross-checked"
-                    : "");
+    if (cbc_speedup < 10.0) {
+      std::fprintf(stderr,
+                   "FAIL: AES-NI CBC decrypt is %.2fx the scalar kernel "
+                   "(acceptance gate: >= 10x)\n",
+                   cbc_speedup);
+      std::exit(1);
+    }
+    std::printf("bench_crypto OK (aes-ctr %.1fx >= 3x, aes-cbc decrypt "
+                "%.1fx >= 10x%s)\n",
+                ctr_speedup, cbc_speedup,
+                crypto::ShaNiKernelAvailable() ? ", sha-ni cross-checked"
+                                               : "");
   } else {
-    std::printf("bench_crypto OK (scalar only — AES-NI gate skipped)\n");
+    std::printf("bench_crypto OK (scalar only — AES-NI gates skipped)\n");
   }
 }
 

@@ -1,6 +1,18 @@
 #include "common/serialize.h"
 
+#include <bit>
+#include <limits>
+
 namespace simcloud {
+
+namespace {
+// The wire format is little-endian IEEE-754, which is the in-memory
+// layout of float on little-endian hosts: there, float vectors move as
+// one memcpy. Big-endian hosts keep the per-element byte swap.
+static_assert(std::numeric_limits<float>::is_iec559 && sizeof(float) == 4);
+constexpr bool kFloatsAreWireOrder =
+    std::endian::native == std::endian::little;
+}  // namespace
 
 void BinaryWriter::WriteVarint(uint64_t v) {
   while (v >= 0x80) {
@@ -26,7 +38,12 @@ void BinaryWriter::WriteRaw(const uint8_t* data, size_t len) {
 
 void BinaryWriter::WriteFloatVector(const std::vector<float>& v) {
   WriteVarint(v.size());
-  for (float f : v) WriteFloat(f);
+  if constexpr (kFloatsAreWireOrder) {
+    const auto* bytes = reinterpret_cast<const uint8_t*>(v.data());
+    buf_.insert(buf_.end(), bytes, bytes + v.size() * sizeof(float));
+  } else {
+    for (float f : v) WriteFloat(f);
+  }
 }
 
 void BinaryWriter::WriteU32Vector(const std::vector<uint32_t>& v) {
@@ -103,11 +120,14 @@ Result<std::vector<float>> BinaryReader::ReadFloatVector() {
   if (n > remaining() / sizeof(float)) {
     return Status::Corruption("float vector length exceeds remaining input");
   }
-  std::vector<float> v;
-  v.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SIMCLOUD_ASSIGN_OR_RETURN(float f, ReadFloat());
-    v.push_back(f);
+  std::vector<float> v(n);
+  if constexpr (kFloatsAreWireOrder) {
+    if (n > 0) std::memcpy(v.data(), data_ + pos_, n * sizeof(float));
+    pos_ += n * sizeof(float);
+  } else {
+    for (float& f : v) {
+      SIMCLOUD_ASSIGN_OR_RETURN(f, ReadFloat());
+    }
   }
   return v;
 }

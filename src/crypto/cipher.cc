@@ -24,16 +24,34 @@ void CtrXor(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
     ScalarAesCtrXor(aes, iv, in, out, len);
   }
 }
-}  // namespace
 
-Bytes Pkcs7Pad(const Bytes& data, size_t block_size) {
-  const size_t pad = block_size - (data.size() % block_size);
-  Bytes out = data;
-  out.insert(out.end(), pad, static_cast<uint8_t>(pad));
-  return out;
+// CBC over whole blocks, dispatched the same way as CtrXor.
+void CbcEncrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
+                uint8_t* out, size_t len) {
+  if (AesAccelerated()) {
+    AesNiCbcEncrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
+  } else {
+    ScalarAesCbcEncrypt(aes, iv, in, out, len);
+  }
 }
 
-Result<Bytes> Pkcs7Unpad(const Bytes& data, size_t block_size) {
+void CbcDecrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
+                uint8_t* out, size_t len) {
+  if (AesAccelerated()) {
+    AesNiCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
+  } else {
+    ScalarAesCbcDecrypt(aes, iv, in, out, len);
+  }
+}
+}  // namespace
+
+Bytes Pkcs7Pad(Bytes data, size_t block_size) {
+  const size_t pad = block_size - (data.size() % block_size);
+  data.insert(data.end(), pad, static_cast<uint8_t>(pad));
+  return data;
+}
+
+Result<Bytes> Pkcs7Unpad(Bytes data, size_t block_size) {
   if (data.empty() || data.size() % block_size != 0) {
     return Status::Corruption("padded data size not a multiple of block size");
   }
@@ -44,7 +62,8 @@ Result<Bytes> Pkcs7Unpad(const Bytes& data, size_t block_size) {
   for (size_t i = data.size() - pad; i < data.size(); ++i) {
     if (data[i] != pad) return Status::Corruption("inconsistent PKCS#7 padding");
   }
-  return Bytes(data.begin(), data.end() - pad);
+  data.resize(data.size() - pad);
+  return data;
 }
 
 Result<Cipher> Cipher::Create(const Bytes& key, CipherMode mode) {
@@ -84,19 +103,15 @@ Result<Bytes> Cipher::Decrypt(const Bytes& ciphertext) const {
 
 Result<Bytes> Cipher::EncryptCbc(const Bytes& plaintext,
                                  const Bytes& iv) const {
-  const Bytes padded = Pkcs7Pad(plaintext, kBlock);
+  // iv || plaintext in one buffer, padded and then encrypted in place.
+  // The IV is one whole block, so padding the buffer pads the plaintext.
   Bytes out;
-  out.reserve(kBlock + padded.size());
+  out.reserve(CiphertextSize(plaintext.size()));
   out.insert(out.end(), iv.begin(), iv.end());
-
-  uint8_t chain[kBlock];
-  std::memcpy(chain, iv.data(), kBlock);
-  uint8_t block[kBlock];
-  for (size_t off = 0; off < padded.size(); off += kBlock) {
-    for (size_t i = 0; i < kBlock; ++i) block[i] = padded[off + i] ^ chain[i];
-    aes_.EncryptBlock(block, chain);
-    out.insert(out.end(), chain, chain + kBlock);
-  }
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  out = Pkcs7Pad(std::move(out), kBlock);
+  CbcEncrypt(aes_, iv.data(), out.data() + kBlock, out.data() + kBlock,
+             out.size() - kBlock);
   return out;
 }
 
@@ -106,16 +121,9 @@ Result<Bytes> Cipher::DecryptCbc(const Bytes& ciphertext) const {
     return Status::Corruption("CBC ciphertext body not block-aligned");
   }
   Bytes padded(body);
-  uint8_t chain[kBlock];
-  std::memcpy(chain, ciphertext.data(), kBlock);
-  uint8_t block[kBlock];
-  for (size_t off = 0; off < body; off += kBlock) {
-    const uint8_t* ct = ciphertext.data() + kBlock + off;
-    aes_.DecryptBlock(ct, block);
-    for (size_t i = 0; i < kBlock; ++i) padded[off + i] = block[i] ^ chain[i];
-    std::memcpy(chain, ct, kBlock);
-  }
-  return Pkcs7Unpad(padded, kBlock);
+  CbcDecrypt(aes_, ciphertext.data(), ciphertext.data() + kBlock,
+             padded.data(), body);
+  return Pkcs7Unpad(std::move(padded), kBlock);
 }
 
 Result<Bytes> Cipher::EncryptCtr(const Bytes& plaintext,

@@ -23,8 +23,10 @@ namespace crypto {
 /// Block cipher mode of operation.
 enum class CipherMode { kCbc, kCtr };
 
-/// Stateless authenticated-unauthenticated symmetric cipher wrapper.
-/// One instance per key; safe for concurrent use.
+/// Stateless, unauthenticated symmetric cipher wrapper: CBC/CTR give
+/// confidentiality only, so a tampered ciphertext can decrypt to altered
+/// plaintext (use AeadCipher, aead.h, when integrity matters). One
+/// instance per key; safe for concurrent use.
 class Cipher {
  public:
   /// Creates a cipher for `key` (16/24/32 bytes) in the given mode.
@@ -57,11 +59,14 @@ class Cipher {
   CipherMode mode_;
 };
 
-/// Applies PKCS#7 padding up to `block_size` (1..255).
-Bytes Pkcs7Pad(const Bytes& data, size_t block_size);
+/// Applies PKCS#7 padding up to `block_size` (1..255), appending to
+/// `data` in place (move a buffer in to avoid a copy).
+Bytes Pkcs7Pad(Bytes data, size_t block_size);
 
 /// Strips and validates PKCS#7 padding; Corruption on malformed padding.
-Result<Bytes> Pkcs7Unpad(const Bytes& data, size_t block_size);
+/// Takes `data` by value and shrinks it in place, so a caller that moves
+/// its buffer in pays no copy.
+Result<Bytes> Pkcs7Unpad(Bytes data, size_t block_size);
 
 }  // namespace crypto
 }  // namespace simcloud

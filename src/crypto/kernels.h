@@ -46,6 +46,33 @@ void AesNiCtrXor(const uint8_t* round_keys, int rounds, const uint8_t iv[16],
                  const uint8_t* in, uint8_t* out, size_t len);
 
 // ---------------------------------------------------------------------------
+// AES-CBC over whole blocks: `len` must be a multiple of 16 (padding is
+// the caller's job, see cipher.cc). `iv` chains into the first block.
+// in == out is allowed.
+// ---------------------------------------------------------------------------
+
+/// Scalar references: one EncryptBlock / DecryptBlock per 16-byte block.
+void ScalarAesCbcEncrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len);
+void ScalarAesCbcDecrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len);
+
+/// AES-NI CBC encrypt: inherently serial (each block chains on the
+/// previous ciphertext), one AESENC chain per block. Same `round_keys`
+/// layout as AesNiCtrXor. Must only be called when AesNiKernelAvailable().
+void AesNiCbcEncrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len);
+
+/// AES-NI CBC decrypt, 8 blocks in flight (decryption has no chain
+/// dependency). Takes the ENCRYPTION schedule and derives the
+/// equivalent-inverse schedule with AESIMC itself. Must only be called
+/// when AesNiKernelAvailable().
+void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len);
+
+// ---------------------------------------------------------------------------
 // SHA-256 block compression: absorbs `blocks` 64-byte blocks into the
 // running state h[8] (FIPS-180-4 working variables, host byte order).
 // ---------------------------------------------------------------------------

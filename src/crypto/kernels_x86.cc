@@ -1,13 +1,14 @@
-// x86 hardware kernels: AES-NI CTR keystream and SHA-NI SHA-256
-// compression. This file — and ONLY this file — is compiled with
-// -maes/-msha/-mssse3/-msse4.1 (see CMakeLists.txt), so nothing here may
-// be called before a cpuid check: the dispatchers in cpu_features.cc /
-// kernels.h guarantee that. Feature *detection* deliberately lives in
-// cpu_features.cc, which is built without SIMD flags, so a non-AES host
-// never executes an instruction from this translation unit.
+// x86 hardware kernels: AES-NI CTR keystream and CBC encrypt/decrypt,
+// SHA-NI SHA-256 compression. This file — and ONLY this file — is
+// compiled with -maes/-msha/-mssse3/-msse4.1 (see CMakeLists.txt), so
+// nothing here may be called before a cpuid check: the dispatchers in
+// cpu_features.cc / kernels.h guarantee that. Feature *detection*
+// deliberately lives in cpu_features.cc, which is built without SIMD
+// flags, so a non-AES host never executes an instruction from this
+// translation unit.
 //
 // Correctness contract: bit-identical to the scalar references in
-// aes.cc / sha256.cc; tests/crypto_test.cc cross-checks both kernels on
+// aes.cc / sha256.cc; tests/crypto_test.cc cross-checks every kernel on
 // random inputs whenever the hardware supports them.
 
 #include "crypto/kernels.h"
@@ -42,15 +43,43 @@ inline __m128i EncryptOne(__m128i block, const __m128i* keys, int rounds) {
   return _mm_aesenclast_si128(block, keys[rounds]);
 }
 
+inline __m128i Load(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+inline void Store(uint8_t* p, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+
+inline void LoadEncryptionKeys(const uint8_t* round_keys, int rounds,
+                               __m128i keys[15]) {
+  for (int r = 0; r <= rounds; ++r) keys[r] = Load(round_keys + 16 * r);
+}
+
+// Equivalent inverse cipher schedule (FIPS-197 5.3.5), the layout
+// AESDEC/AESDECLAST expect: encryption keys in reverse order, with
+// InvMixColumns (AESIMC) applied to every key except the outer two.
+inline void LoadDecryptionKeys(const uint8_t* round_keys, int rounds,
+                               __m128i keys[15]) {
+  keys[0] = Load(round_keys + 16 * rounds);
+  for (int r = 1; r < rounds; ++r) {
+    keys[r] = _mm_aesimc_si128(Load(round_keys + 16 * (rounds - r)));
+  }
+  keys[rounds] = Load(round_keys);
+}
+
+inline __m128i DecryptOne(__m128i block, const __m128i* keys, int rounds) {
+  block = _mm_xor_si128(block, keys[0]);
+  for (int r = 1; r < rounds; ++r) block = _mm_aesdec_si128(block, keys[r]);
+  return _mm_aesdeclast_si128(block, keys[rounds]);
+}
+
 }  // namespace
 
 void AesNiCtrXor(const uint8_t* round_keys, int rounds, const uint8_t iv[16],
                  const uint8_t* in, uint8_t* out, size_t len) {
   __m128i keys[15];
-  for (int r = 0; r <= rounds; ++r) {
-    keys[r] = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(round_keys + 16 * r));
-  }
+  LoadEncryptionKeys(round_keys, rounds, keys);
   uint8_t counter[16];
   std::memcpy(counter, iv, 16);
 
@@ -98,6 +127,56 @@ void AesNiCtrXor(const uint8_t* round_keys, int rounds, const uint8_t iv[16],
       for (size_t i = 0; i < n; ++i) out[off + i] = in[off + i] ^ ks_bytes[i];
     }
     off += 16;
+  }
+}
+
+void AesNiCbcEncrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len) {
+  __m128i keys[15];
+  LoadEncryptionKeys(round_keys, rounds, keys);
+  __m128i chain = Load(iv);
+  for (size_t off = 0; off < len; off += 16) {
+    chain = EncryptOne(_mm_xor_si128(Load(in + off), chain), keys, rounds);
+    Store(out + off, chain);
+  }
+}
+
+void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len) {
+  __m128i keys[15];
+  LoadDecryptionKeys(round_keys, rounds, keys);
+  __m128i chain = Load(iv);
+  size_t off = 0;
+  // 8-block pipeline, as in CTR: every block decrypts independently and
+  // only the final XOR needs the previous ciphertext. All 8 ciphertext
+  // blocks are loaded before any store, so in == out is safe.
+  while (len - off >= 128) {
+    __m128i ct[8], blocks[8];
+    for (int b = 0; b < 8; ++b) {
+      ct[b] = Load(in + off + 16 * b);
+      blocks[b] = _mm_xor_si128(ct[b], keys[0]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+      for (int b = 0; b < 8; ++b) {
+        blocks[b] = _mm_aesdec_si128(blocks[b], keys[r]);
+      }
+    }
+    for (int b = 0; b < 8; ++b) {
+      blocks[b] = _mm_aesdeclast_si128(blocks[b], keys[rounds]);
+    }
+    Store(out + off, _mm_xor_si128(blocks[0], chain));
+    for (int b = 1; b < 8; ++b) {
+      Store(out + off + 16 * b, _mm_xor_si128(blocks[b], ct[b - 1]));
+    }
+    chain = ct[7];
+    off += 128;
+  }
+  for (; off < len; off += 16) {
+    const __m128i ct = Load(in + off);
+    Store(out + off, _mm_xor_si128(DecryptOne(ct, keys, rounds), chain));
+    chain = ct;
   }
 }
 
@@ -263,6 +342,10 @@ const bool kShaNiKernelCompiled = false;
 
 void AesNiCtrXor(const uint8_t*, int, const uint8_t*, const uint8_t*,
                  uint8_t*, size_t) {}
+void AesNiCbcEncrypt(const uint8_t*, int, const uint8_t*, const uint8_t*,
+                     uint8_t*, size_t) {}
+void AesNiCbcDecrypt(const uint8_t*, int, const uint8_t*, const uint8_t*,
+                     uint8_t*, size_t) {}
 void ShaNiSha256Blocks(uint32_t*, const uint8_t*, size_t) {}
 
 }  // namespace crypto

@@ -14,6 +14,17 @@ using metric::Neighbor;
 using metric::NeighborList;
 using metric::VectorObject;
 
+namespace {
+/// Truncates a sorted answer to its k nearest and gives back the room
+/// the dropped candidates took: the list was sized for every candidate
+/// (cand_size is often 10-50x k), and callers keep answers.
+void KeepNearest(NeighborList* refined, size_t k) {
+  if (refined->size() <= k) return;
+  refined->resize(k);
+  refined->shrink_to_fit();
+}
+}  // namespace
+
 std::vector<float> EncryptionClient::ComputePivotDistances(
     const VectorObject& object, bool apply_transform) {
   Stopwatch watch;
@@ -251,7 +262,7 @@ Result<NeighborList> EncryptionClient::ApproxKnnSingleCell(
 
   SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
                             RefineCandidates(response.candidates, query));
-  if (refined.size() > k) refined.resize(k);
+  KeepNearest(&refined, k);
 
   const int64_t tracked_delta = costs_.distance_nanos +
                                 costs_.decryption_nanos +
@@ -288,7 +299,7 @@ Result<NeighborList> EncryptionClient::ApproxKnn(const VectorObject& query,
 
   SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
                             RefineCandidates(response.candidates, query));
-  if (refined.size() > k) refined.resize(k);
+  KeepNearest(&refined, k);
 
   const int64_t tracked_delta = costs_.distance_nanos +
                                 costs_.decryption_nanos +
@@ -441,7 +452,7 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishApproxKnnBatch(
   SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
                             RefineBatch(response, queries));
   for (NeighborList& refined : answers) {
-    if (refined.size() > k) refined.resize(k);
+    KeepNearest(&refined, k);
   }
   return answers;
 }
@@ -689,7 +700,7 @@ Result<NeighborList> EncryptionClient::PreciseKnn(const VectorObject& query,
   // k-nearest neighbor (their distances are <= true rho_k <= this rho_k).
   SIMCLOUD_ASSIGN_OR_RETURN(NeighborList in_range,
                             RangeSearch(query, rho_k));
-  if (in_range.size() > k) in_range.resize(k);
+  KeepNearest(&in_range, k);
   return in_range;
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/bytes.h"
@@ -233,6 +234,108 @@ TEST(SerializeTest, LyingVectorLengthIsCorruption) {
   w.WriteVarint(1ULL << 40);
   BinaryReader r(w.buffer());
   EXPECT_FALSE(r.ReadFloatVector().ok());
+}
+
+// The float-vector codec moves whole vectors at once; these pin it to
+// the per-element encoding (varint count, then each float's IEEE-754
+// bits as a little-endian u32), bit for bit.
+std::vector<float> FloatsFromBits(const std::vector<uint32_t>& bits) {
+  std::vector<float> out(bits.size());
+  for (size_t i = 0; i < bits.size(); ++i) {
+    std::memcpy(&out[i], &bits[i], sizeof(float));
+  }
+  return out;
+}
+
+std::vector<uint32_t> BitsOfFloats(const std::vector<float>& floats) {
+  std::vector<uint32_t> out(floats.size());
+  for (size_t i = 0; i < floats.size(); ++i) {
+    std::memcpy(&out[i], &floats[i], sizeof(float));
+  }
+  return out;
+}
+
+Bytes PerElementFloatEncoding(const std::vector<float>& v) {
+  BinaryWriter w;
+  w.WriteVarint(v.size());
+  for (float f : v) w.WriteFloat(f);
+  return w.TakeBuffer();
+}
+
+TEST(SerializeTest, FloatVectorGoldenBytes) {
+  const std::vector<uint32_t> bits = {
+      0x00000000,  // +0.0
+      0x80000000,  // -0.0
+      0x3FC00000,  // 1.5
+      0x7FC00000,  // quiet NaN
+      0xFFC12345,  // negative NaN with a payload
+      0x7F800001,  // signalling NaN
+      0x00000001,  // smallest denormal
+      0x807FFFFF,  // largest-magnitude negative denormal
+      0x7F800000,  // +inf
+  };
+  const std::vector<float> v = FloatsFromBits(bits);
+  BinaryWriter w;
+  w.WriteFloatVector(v);
+  EXPECT_EQ(ToHex(w.buffer()),
+            "09"
+            "00000000" "00000080" "0000c03f" "0000c07f" "4523c1ff"
+            "0100807f" "01000000" "ffff7f80" "0000807f");
+  EXPECT_EQ(w.buffer(), PerElementFloatEncoding(v));
+
+  BinaryReader r(w.buffer());
+  auto back = r.ReadFloatVector();
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(BitsOfFloats(*back), bits);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerializeTest, FloatVectorRoundTripsAtEveryLength) {
+  Rng rng(0xF10A7);
+  for (const size_t len : {0u, 1u, 280u}) {
+    std::vector<uint32_t> bits(len);
+    for (auto& b : bits) b = static_cast<uint32_t>(rng.NextU64());
+    const std::vector<float> v = FloatsFromBits(bits);
+    BinaryWriter w;
+    w.WriteFloatVector(v);
+    EXPECT_EQ(w.buffer(), PerElementFloatEncoding(v)) << "len=" << len;
+    w.WriteU32(0xC0FFEE);  // trailing field: the reader must stop exactly
+
+    BinaryReader r(w.buffer());
+    auto back = r.ReadFloatVector();
+    ASSERT_TRUE(back.ok()) << "len=" << len;
+    EXPECT_EQ(BitsOfFloats(*back), bits) << "len=" << len;
+    EXPECT_EQ(r.ReadU32().value(), 0xC0FFEEu);
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(SerializeTest, FloatVectorCountBeyondInputIsCorruption) {
+  BinaryWriter w;
+  w.WriteVarint(3);  // claims three floats, carries two
+  w.WriteFloat(1.0f);
+  w.WriteFloat(2.0f);
+  BinaryReader r(w.buffer());
+  auto got = r.ReadFloatVector();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SerializeTest, TruncatedFloatVectorIsCorruption) {
+  BinaryWriter w;
+  w.WriteFloatVector(std::vector<float>(280, 0.5f));
+  const Bytes& full = w.buffer();
+  // Cuts that keep the count but lose body bytes must fail.
+  for (size_t cut = 2; cut < full.size(); cut += 37) {
+    BinaryReader r(full.data(), cut);
+    auto got = r.ReadFloatVector();
+    ASSERT_FALSE(got.ok()) << "cut=" << cut;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << "cut=" << cut;
+  }
+  BinaryReader r(full.data(), full.size() - 1);
+  auto got = r.ReadFloatVector();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
 }
 
 // Property: random write/read sequences round-trip.

@@ -105,20 +105,56 @@ TEST(AesTest, EncryptDecryptAllKeySizes) {
 
 // ------------------------------------------------------------- CBC / CTR
 
-TEST(CipherTest, Sp800_38a_Cbc128FirstBlock) {
-  // NIST SP 800-38A F.2.1: CBC-AES128.Encrypt, segment 1.
-  auto cipher = Cipher::Create(Hex("2b7e151628aed2a6abf7158809cf4f3c"),
-                               CipherMode::kCbc);
+// NIST SP 800-38A F.2.1 / F.2.2: CBC-AES128, all four segments.
+constexpr char kCbcKey[] = "2b7e151628aed2a6abf7158809cf4f3c";
+constexpr char kCbcIv[] = "000102030405060708090a0b0c0d0e0f";
+constexpr char kCbcPlaintext[] =
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710";
+constexpr char kCbcCiphertext[] =
+    "7649abac8119b246cee98e9b12e9197d"
+    "5086cb9b507219ee95db113a917678b2"
+    "73bed6b8e3c1743b7116e69e22229516"
+    "3ff1caa1681fac09120eca307586e1a7";
+
+TEST(CipherTest, Sp800_38a_Cbc128AllBlocks) {
+  auto cipher = Cipher::Create(Hex(kCbcKey), CipherMode::kCbc);
   ASSERT_TRUE(cipher.ok());
-  const Bytes iv = Hex("000102030405060708090a0b0c0d0e0f");
-  const Bytes plaintext = Hex("6bc1bee22e409f96e93d7e117393172a");
+  const Bytes iv = Hex(kCbcIv);
+  const Bytes plaintext = Hex(kCbcPlaintext);
   auto ct = cipher->EncryptWithIv(plaintext, iv);
   ASSERT_TRUE(ct.ok());
-  // Layout: IV || C1 || padding block. First ciphertext block must match.
-  EXPECT_EQ(ToHex(ct->data() + 16, 16), "7649abac8119b246cee98e9b12e9197d");
+  // Layout: IV || C1..C4 || one full padding block.
+  ASSERT_EQ(ct->size(), 16u + 64u + 16u);
+  EXPECT_EQ(ToHex(ct->data(), 16), kCbcIv);
+  EXPECT_EQ(ToHex(ct->data() + 16, 64), kCbcCiphertext);
   auto back = cipher->Decrypt(*ct);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, plaintext);
+}
+
+TEST(KernelTest, Sp800_38a_Cbc128BothKernelsBothDirections) {
+  auto aes = Aes::Create(Hex(kCbcKey));
+  ASSERT_TRUE(aes.ok());
+  const Bytes iv = Hex(kCbcIv);
+  const Bytes plaintext = Hex(kCbcPlaintext);
+  Bytes out(64);
+  ScalarAesCbcEncrypt(*aes, iv.data(), plaintext.data(), out.data(), 64);
+  EXPECT_EQ(ToHex(out), kCbcCiphertext);
+  ScalarAesCbcDecrypt(*aes, iv.data(), Hex(kCbcCiphertext).data(),
+                      out.data(), 64);
+  EXPECT_EQ(ToHex(out), kCbcPlaintext);
+  if (!AesNiKernelAvailable()) {
+    GTEST_SKIP() << "AES-NI not available on this CPU";
+  }
+  AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                  plaintext.data(), out.data(), 64);
+  EXPECT_EQ(ToHex(out), kCbcCiphertext);
+  AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                  Hex(kCbcCiphertext).data(), out.data(), 64);
+  EXPECT_EQ(ToHex(out), kCbcPlaintext);
 }
 
 TEST(CipherTest, Sp800_38a_Ctr128) {
@@ -220,6 +256,31 @@ TEST(CipherTest, PaddingTamperDetected) {
   if (r.ok()) {
     EXPECT_NE(*r, Bytes(20, 0x55));  // at minimum the content changed
   }
+
+  // Deterministic tampering: flipping byte j of the next-to-last
+  // ciphertext block flips byte j of the last plaintext block, so each
+  // unpad check is hit exactly. The 20-byte message ends in 12 pad bytes
+  // of 0x0c, the last one at offset 15 of the last block.
+  const size_t pad_byte = ct->size() - 16 - 1;
+  struct Case {
+    uint8_t flip;
+    const char* what;
+  };
+  for (const Case c : {Case{0x0c, "pad byte 0"},
+                       Case{0xf0, "pad byte > 16"},
+                       Case{0x01, "pad byte 13 over a 0x55 data byte"}}) {
+    Bytes bad = *ct;
+    bad[pad_byte] ^= c.flip;
+    auto got = cipher->Decrypt(bad);
+    ASSERT_FALSE(got.ok()) << c.what;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << c.what;
+  }
+  // One inner pad byte changed: still inconsistent padding.
+  Bytes inner = *ct;
+  inner[pad_byte - 5] ^= 0x01;
+  auto got = cipher->Decrypt(inner);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kCorruption);
 }
 
 TEST(Pkcs7Test, PadUnpadAllResidues) {
@@ -504,6 +565,58 @@ TEST(KernelTest, AesNiCtrCounterCarryPropagates) {
   AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(), input.data(),
               hw_out.data(), len);
   EXPECT_EQ(scalar_out, hw_out);
+}
+
+TEST(KernelTest, AesNiCbcMatchesScalarOnRandomInputs) {
+  if (!AesNiKernelAvailable()) {
+    GTEST_SKIP() << "AES-NI not available on this CPU";
+  }
+  Rng rng(0xCBC0);
+  // 1..40 blocks covers the 8-block decrypt pipeline with every tail
+  // length (7, 8, 9, 16, 17 blocks included).
+  for (const size_t key_len : {16u, 24u, 32u}) {
+    auto aes = Aes::Create(RandomBytes(rng, key_len));
+    ASSERT_TRUE(aes.ok());
+    for (size_t blocks = 1; blocks <= 40; ++blocks) {
+      const size_t len = blocks * 16;
+      const Bytes iv = RandomBytes(rng, 16);
+      const Bytes plaintext = RandomBytes(rng, len);
+      Bytes scalar_ct(len), hw_ct(len);
+      ScalarAesCbcEncrypt(*aes, iv.data(), plaintext.data(),
+                          scalar_ct.data(), len);
+      AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      plaintext.data(), hw_ct.data(), len);
+      EXPECT_EQ(scalar_ct, hw_ct)
+          << "encrypt key_len=" << key_len << " blocks=" << blocks;
+
+      // Decrypt an independent random body, so the decrypt kernels are
+      // compared on inputs the encrypt kernels did not produce.
+      const Bytes body = RandomBytes(rng, len);
+      Bytes scalar_pt(len), hw_pt(len);
+      ScalarAesCbcDecrypt(*aes, iv.data(), body.data(), scalar_pt.data(),
+                          len);
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      body.data(), hw_pt.data(), len);
+      EXPECT_EQ(scalar_pt, hw_pt)
+          << "decrypt key_len=" << key_len << " blocks=" << blocks;
+
+      // Round trip and in-place operation in both directions.
+      Bytes in_place = plaintext;
+      AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      in_place.data(), in_place.data(), len);
+      EXPECT_EQ(in_place, scalar_ct);
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      in_place.data(), in_place.data(), len);
+      EXPECT_EQ(in_place, plaintext);
+      in_place = plaintext;
+      ScalarAesCbcEncrypt(*aes, iv.data(), in_place.data(), in_place.data(),
+                          len);
+      EXPECT_EQ(in_place, scalar_ct);
+      ScalarAesCbcDecrypt(*aes, iv.data(), in_place.data(), in_place.data(),
+                          len);
+      EXPECT_EQ(in_place, plaintext);
+    }
+  }
 }
 
 TEST(KernelTest, ShaNiMatchesScalarOnRandomInputs) {

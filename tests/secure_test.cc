@@ -412,6 +412,33 @@ TEST(EncryptedMIndexTest, ApproxKnnRecallIsHighWithGenerousCandidates) {
   EXPECT_GT(recall_total / query_count, 80.0);
 }
 
+TEST(EncryptedMIndexTest, KnnAnswersHoldOnlyTheirKEntries) {
+  // Refinement sizes a list for every candidate; the answer handed back
+  // must not keep that room (callers store answers, and cand_size is
+  // many times k).
+  auto world = MakeSecureWorld();
+  ASSERT_TRUE(world.client
+                  ->InsertBulk(world.dataset.objects(),
+                               InsertStrategy::kPrecise, 500)
+                  .ok());
+  const VectorObject& q0 = world.dataset.objects()[0];
+  const VectorObject& q1 = world.dataset.objects()[1];
+  auto single = world.client->ApproxKnn(q0, 5, 300);
+  ASSERT_TRUE(single.ok());
+  ASSERT_EQ(single->size(), 5u);
+  EXPECT_EQ(single->capacity(), 5u);
+  auto batch = world.client->ApproxKnnBatch({q0, q1}, 5, 300);
+  ASSERT_TRUE(batch.ok());
+  for (const auto& answer : *batch) {
+    ASSERT_EQ(answer.size(), 5u);
+    EXPECT_EQ(answer.capacity(), 5u);
+  }
+  auto precise = world.client->PreciseKnn(q0, 5);
+  ASSERT_TRUE(precise.ok());
+  ASSERT_EQ(precise->size(), 5u);
+  EXPECT_EQ(precise->capacity(), 5u);
+}
+
 TEST(EncryptedMIndexTest, PreciseKnnEqualsGroundTruth) {
   auto world = MakeSecureWorld();
   ASSERT_TRUE(world.client
