@@ -243,8 +243,7 @@ void Run(bool smoke) {
   std::printf("%s\n",
               obs::RuntimeBanner(
                   "bench_pipeline",
-                  std::string("io_engine=") + server.io_engine_name() +
-                      " workers=" + std::to_string(server.worker_threads()))
+                  "workers=" + std::to_string(server.worker_threads()))
                   .c_str());
   std::printf("%-6s %6s %6s %14s %12s %14s %12s\n", "work", "conns", "depth",
               "qps", "p99_us", "", "");

@@ -8,7 +8,7 @@
 #           bugs in payload-handle remapping would hide). Skips the bench
 #           smoke runs — sanitized timings are meaningless.
 #   --tsan  build under ThreadSanitizer and run the concurrency-facing
-#           suites (epoll/io_uring engines, pipelined clients, shard
+#           suites (the epoll engine, pipelined clients, shard
 #           channels, the parallel query-engine fan-out, stats
 #           accumulators). TSan multiplies runtime ~10x, so the purely
 #           single-threaded suites are skipped.

@@ -94,6 +94,8 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t blocks) {
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  // An empty update may pass a null `data`, which memcpy must never see.
+  if (len == 0) return;
   total_len_ += len;
   // Top up a partially filled buffer first.
   if (buffer_len_ > 0) {

@@ -9,33 +9,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
-#include "common/io_ring.h"
-#include "common/log.h"
-
 namespace simcloud {
 namespace mindex {
-
-namespace {
-
-// SIMCLOUD_IO_ENGINE=uring opts storage reads into io_uring batching,
-// the same switch that selects the server's readiness engine.
-bool UringFetchEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SIMCLOUD_IO_ENGINE");
-    return env != nullptr && std::strcmp(env, "uring") == 0;
-  }();
-  return enabled;
-}
-
-// SQ depth of the per-storage read ring; batches larger than this
-// pipeline through repeated submit/reap rounds.
-constexpr unsigned kFetchRingEntries = 64;
-
-}  // namespace
 
 DiskReadPlan BuildDiskReadPlan(std::span<const PayloadHandle> handles,
                                std::span<const uint64_t> offsets,
@@ -392,24 +370,6 @@ Result<Bytes> DiskStorage::Fetch(PayloadHandle handle) const {
   return out;
 }
 
-namespace {
-
-// Distributes one run's bytes into the per-handle output slots.
-void ScatterRun(const DiskReadPlan& plan, const DiskReadRun& run,
-                std::span<const PayloadHandle> handles,
-                const std::vector<uint32_t>& lengths, const Bytes& buffer,
-                std::vector<Bytes>* out) {
-  uint64_t cursor = 0;
-  for (size_t k = run.first; k < run.first + run.count; ++k) {
-    const uint32_t length = lengths[handles[plan.order[k]]];
-    (*out)[plan.order[k]].assign(buffer.begin() + cursor,
-                                 buffer.begin() + cursor + length);
-    cursor += length;
-  }
-}
-
-}  // namespace
-
 Status DiskStorage::FetchMany(std::span<const PayloadHandle> handles,
                               std::vector<Bytes>* out) const {
   SIMCLOUD_RETURN_NOT_OK(CheckOpen());
@@ -419,81 +379,19 @@ Status DiskStorage::FetchMany(std::span<const PayloadHandle> handles,
   out->assign(handles.size(), Bytes());
 
   // Read in offset order: adjacent payloads (the common case — candidates
-  // of one bucket were appended together) collapse into one read. The
-  // plan is identical for both executors.
+  // of one bucket were appended together) collapse into one pread, whose
+  // bytes are then scattered into the per-handle output slots.
   const DiskReadPlan plan = BuildDiskReadPlan(handles, offsets_, lengths_);
-
-  if (UringFetchEnabled() && !ring_failed_) {
-    const Status status = FetchManyUring(plan, handles, out);
-    if (status.code() != StatusCode::kNotSupported) return status;
-    // NotSupported: ring unavailable or busy — take the pread path.
-  }
-
   Bytes buffer;
   for (const DiskReadRun& run : plan.runs) {
     buffer.resize(run.length);
     SIMCLOUD_RETURN_NOT_OK(ReadExactly(buffer.data(), run.length, run.offset));
-    ScatterRun(plan, run, handles, lengths_, buffer, out);
-  }
-  return Status::OK();
-}
-
-Status DiskStorage::FetchManyUring(const DiskReadPlan& plan,
-                                   std::span<const PayloadHandle> handles,
-                                   std::vector<Bytes>* out) const {
-  // FetchMany must stay concurrency-safe but the ring is single-owner:
-  // a caller that misses the lock reads via pread instead of queueing.
-  std::unique_lock<std::mutex> lock(ring_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return Status::NotSupported("ring busy");
-  if (ring_ == nullptr) {
-    Result<std::unique_ptr<IoRing>> ring = IoRing::Create(kFetchRingEntries);
-    if (!ring.ok()) {
-      ring_failed_ = true;
-      SIMCLOUD_LOG(kWarn) << "io_uring unavailable ("
-                          << ring.status().message()
-                          << "); disk reads fall back to pread";
-      return Status::NotSupported(ring.status().message());
-    }
-    ring_ = std::move(*ring);
-  }
-
-  std::vector<Bytes> buffers(plan.runs.size());
-  std::vector<IoRing::Cqe> cqes;
-  size_t next = 0;  // first run not yet submitted
-  size_t done = 0;
-  while (done < plan.runs.size()) {
-    while (next < plan.runs.size()) {
-      const DiskReadRun& run = plan.runs[next];
-      if (run.length > UINT32_MAX) {
-        // PrepRead carries a 32-bit length; a >4GiB coalesced run is
-        // beyond any real batch, but stay correct and use pread.
-        return Status::NotSupported("read run exceeds io_uring length");
-      }
-      buffers[next].resize(run.length);
-      if (!ring_->PrepRead(fd_, buffers[next].data(),
-                           static_cast<uint32_t>(run.length), run.offset,
-                           next)) {
-        break;  // SQ full: reap some completions first
-      }
-      ++next;
-    }
-    SIMCLOUD_RETURN_NOT_OK(ring_->SubmitAndWait(1));
-    cqes.clear();
-    ring_->DrainCompletions(&cqes);
-    for (const IoRing::Cqe& cqe : cqes) {
-      const DiskReadRun& run = plan.runs[cqe.user_data];
-      Bytes& buffer = buffers[cqe.user_data];
-      // Short reads (res < length) and per-SQE errors both finish via
-      // ReadExactly, which re-reports a genuine I/O failure or EOF
-      // truncation (Corruption) with the usual diagnostics.
-      const uint64_t got = cqe.res < 0 ? 0 : static_cast<uint64_t>(cqe.res);
-      if (got < run.length) {
-        SIMCLOUD_RETURN_NOT_OK(ReadExactly(buffer.data() + got,
-                                           run.length - got,
-                                           run.offset + got));
-      }
-      ScatterRun(plan, run, handles, lengths_, buffer, out);
-      ++done;
+    uint64_t cursor = 0;
+    for (size_t k = run.first; k < run.first + run.count; ++k) {
+      const uint32_t length = lengths_[handles[plan.order[k]]];
+      (*out)[plan.order[k]].assign(buffer.begin() + cursor,
+                                   buffer.begin() + cursor + length);
+      cursor += length;
     }
   }
   return Status::OK();

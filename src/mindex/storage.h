@@ -27,13 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/io_ring.h"
 #include "common/status.h"
 
 namespace simcloud {
@@ -51,13 +49,12 @@ struct DiskReadRun {
   size_t count = 0;
 };
 
-/// The coalesced read schedule DiskStorage::FetchMany executes — shared
-/// between the pread(2) and io_uring executors so both issue identical
-/// reads. `order` lists handle indices sorted by file offset; `runs`
-/// merges payloads that are byte-adjacent in the log (the common case:
-/// one bucket's candidates were appended together). Runs merge across
-/// kSegmentBytes boundaries — segments are an accounting notion, the log
-/// bytes stay contiguous.
+/// The coalesced read schedule DiskStorage::FetchMany executes with one
+/// pread(2) per run. `order` lists handle indices sorted by file offset;
+/// `runs` merges payloads that are byte-adjacent in the log (the common
+/// case: one bucket's candidates were appended together). Runs merge
+/// across kSegmentBytes boundaries — segments are an accounting notion,
+/// the log bytes stay contiguous.
 struct DiskReadPlan {
   std::vector<size_t> order;
   std::vector<DiskReadRun> runs;
@@ -303,12 +300,6 @@ class DiskStorage : public BucketStorage {
   /// pread exactly `len` bytes at `offset`; short reads (EOF before `len`
   /// bytes, e.g. a truncated backing file) are Corruption, not silence.
   Status ReadExactly(uint8_t* dst, size_t len, uint64_t offset) const;
-  /// Executes `plan` with one batched io_uring submission. NotSupported
-  /// means "use pread instead" (ring unavailable or busy); any other
-  /// error is a real I/O failure.
-  Status FetchManyUring(const DiskReadPlan& plan,
-                        std::span<const PayloadHandle> handles,
-                        std::vector<Bytes>* out) const;
 
   int fd_;
   std::string path_;
@@ -325,14 +316,6 @@ class DiskStorage : public BucketStorage {
   std::vector<bool> live_;
   // Per-segment accounting, indexed by offset / kSegmentBytes.
   std::vector<Segment> segments_;
-  // io_uring read batching (SIMCLOUD_IO_ENGINE=uring), created lazily by
-  // the first FetchMany. The ring is single-owner; concurrent FetchMany
-  // callers that miss the try_lock just take the pread path instead of
-  // queueing. `ring_failed_` latches a failed probe so unsupported
-  // kernels pay the setup attempt once.
-  mutable std::mutex ring_mutex_;
-  mutable std::unique_ptr<IoRing> ring_;
-  mutable bool ring_failed_ = false;
 };
 
 /// Storage backend selector mirroring the paper's Table 2.

@@ -1,292 +1,68 @@
 #include "net/event_engine.h"
 
-#include <linux/io_uring.h>
-#include <poll.h>
-#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <unordered_map>
-
-#include "common/io_ring.h"
-#include "common/log.h"
 
 namespace simcloud {
 namespace net {
 
-namespace {
+Result<std::unique_ptr<EventEngine>> EventEngine::Create() {
+  const int fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (fd < 0) {
+    return Status::NetworkError(std::string("epoll_create1 failed: ") +
+                                std::strerror(errno));
+  }
+  return std::unique_ptr<EventEngine>(new EventEngine(fd));
+}
 
-// ---------------------------------------------------------------------------
-// EpollEngine: the original loop, verbatim semantics.
-// ---------------------------------------------------------------------------
+EventEngine::EventEngine(int epoll_fd)
+    : epoll_fd_(epoll_fd), raw_events_(128) {}
 
-class EpollEngine : public EventEngine {
- public:
-  static Result<std::unique_ptr<EventEngine>> Make() {
-    const int fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) {
-      return Status::NetworkError(std::string("epoll_create1 failed: ") +
+EventEngine::~EventEngine() { ::close(epoll_fd_); }
+
+Status EventEngine::Add(int fd, uint64_t tag, uint32_t events) {
+  return Ctl(EPOLL_CTL_ADD, fd, tag, events, "epoll add");
+}
+
+Status EventEngine::Modify(int fd, uint64_t tag, uint32_t events) {
+  return Ctl(EPOLL_CTL_MOD, fd, tag, events, "epoll mod");
+}
+
+void EventEngine::Remove(int fd) {
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+}
+
+Status EventEngine::Wait(std::vector<Event>* out) {
+  out->clear();
+  for (;;) {
+    const int n = ::epoll_wait(epoll_fd_, raw_events_.data(),
+                               static_cast<int>(raw_events_.size()), -1);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::NetworkError(std::string("epoll_wait failed: ") +
                                   std::strerror(errno));
     }
-    return std::unique_ptr<EventEngine>(new EpollEngine(fd));
-  }
-
-  ~EpollEngine() override {
-    if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  }
-
-  const char* name() const override { return "epoll"; }
-
-  Status Add(int fd, uint64_t tag, uint32_t events,
-             bool /*constant_interest*/) override {
-    return Ctl(EPOLL_CTL_ADD, fd, tag, events, "epoll add");
-  }
-
-  Status Modify(int fd, uint64_t tag, uint32_t events) override {
-    return Ctl(EPOLL_CTL_MOD, fd, tag, events, "epoll mod");
-  }
-
-  void Remove(int fd, uint64_t /*tag*/) override {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  Status Wait(std::vector<Event>* out) override {
-    out->clear();
-    for (;;) {
-      const int n = ::epoll_wait(epoll_fd_, raw_events_.data(),
-                                 static_cast<int>(raw_events_.size()), -1);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return Status::NetworkError(std::string("epoll_wait failed: ") +
-                                    std::strerror(errno));
-      }
-      out->reserve(static_cast<size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        out->push_back(Event{raw_events_[i].data.u64, raw_events_[i].events});
-      }
-      return Status::OK();
-    }
-  }
-
- private:
-  explicit EpollEngine(int fd) : epoll_fd_(fd), raw_events_(128) {}
-
-  Status Ctl(int op, int fd, uint64_t tag, uint32_t events,
-             const char* what) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = tag;
-    if (::epoll_ctl(epoll_fd_, op, fd, &ev) < 0) {
-      return Status::NetworkError(std::string(what) +
-                                  " failed: " + std::strerror(errno));
+    out->reserve(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      out->push_back(Event{raw_events_[i].data.u64, raw_events_[i].events});
     }
     return Status::OK();
   }
-
-  int epoll_fd_;
-  std::vector<epoll_event> raw_events_;
-};
-
-// ---------------------------------------------------------------------------
-// UringEngine: readiness via io_uring poll SQEs.
-//
-// Every registered fd owns at most one in-flight POLL_ADD keyed by its
-// tag. Oneshot polls are re-armed in one batched submission per Wait —
-// interest changes therefore cost an SQE, not a syscall. Registrations
-// promised constant interest use multishot poll (IORING_POLL_ADD_MULTI)
-// so they stay armed across completions; kernels that reject the flag
-// (-EINVAL) are downgraded to oneshot transparently.
-//
-// Interest changes while a poll is in flight submit a POLL_REMOVE keyed
-// by the same tag. Whichever CQE lands first — the cancellation
-// (-ECANCELED) or a real completion that raced it — disarms the entry,
-// and the next Wait re-arms with the CURRENT mask. A cancellation that
-// instead catches the re-armed poll merely repeats that dance once;
-// there is no stall, because every such CQE wakes the loop. Delivered
-// masks are filtered by current interest so a stale readable edge
-// cannot re-trigger reads the server paused for backpressure.
-// ---------------------------------------------------------------------------
-
-// CQEs of POLL_REMOVE operations themselves carry this marker so the
-// drain loop can drop them without a table lookup (bit 63 is unused by
-// tags: connection generations are small integers).
-constexpr uint64_t kCancelCqeBit = 1ull << 63;
-
-uint32_t EpollToPollMask(uint32_t events) {
-  uint32_t mask = 0;
-  if (events & EPOLLIN) mask |= POLLIN;
-  if (events & EPOLLOUT) mask |= POLLOUT;
-  if (events & EPOLLRDHUP) mask |= POLLRDHUP;
-  if (events & EPOLLPRI) mask |= POLLPRI;
-  return mask;
 }
 
-uint32_t PollToEpollMask(uint32_t mask) {
-  uint32_t events = 0;
-  if (mask & POLLIN) events |= EPOLLIN;
-  if (mask & POLLOUT) events |= EPOLLOUT;
-  if (mask & POLLRDHUP) events |= EPOLLRDHUP;
-  if (mask & POLLPRI) events |= EPOLLPRI;
-  if (mask & POLLERR) events |= EPOLLERR;
-  if (mask & POLLHUP) events |= EPOLLHUP;
-  return events;
-}
-
-class UringEngine : public EventEngine {
- public:
-  static Result<std::unique_ptr<EventEngine>> Make() {
-    SIMCLOUD_ASSIGN_OR_RETURN(std::unique_ptr<IoRing> ring,
-                              IoRing::Create(kRingEntries));
-    return std::unique_ptr<EventEngine>(new UringEngine(std::move(ring)));
+Status EventEngine::Ctl(int op, int fd, uint64_t tag, uint32_t events,
+                        const char* what) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.u64 = tag;
+  if (::epoll_ctl(epoll_fd_, op, fd, &ev) < 0) {
+    return Status::NetworkError(std::string(what) +
+                                " failed: " + std::strerror(errno));
   }
-
-  const char* name() const override { return "io_uring"; }
-
-  Status Add(int fd, uint64_t tag, uint32_t events,
-             bool constant_interest) override {
-    Reg reg;
-    reg.fd = fd;
-    reg.interest = events;
-    reg.multishot = constant_interest;
-    regs_.emplace(tag, reg);
-    // Armed lazily by the next Wait, in the batched submission.
-    return Status::OK();
-  }
-
-  Status Modify(int /*fd*/, uint64_t tag, uint32_t events) override {
-    auto it = regs_.find(tag);
-    if (it == regs_.end()) {
-      return Status::Internal("Modify on unregistered tag " +
-                              std::to_string(tag));
-    }
-    Reg& reg = it->second;
-    if (reg.interest == events) return Status::OK();
-    reg.interest = events;
-    if (reg.armed && !reg.cancel_pending) {
-      // The in-flight poll waits on the old mask and might never fire
-      // (e.g. old={IN}, new={OUT}); cancel it so Wait re-arms fresh.
-      SubmitCancel(tag);
-      reg.cancel_pending = true;
-    }
-    return Status::OK();
-  }
-
-  void Remove(int /*fd*/, uint64_t tag) override {
-    auto it = regs_.find(tag);
-    if (it == regs_.end()) return;
-    if (it->second.armed) {
-      // The pending poll pins a reference to the file; cancel it so
-      // closing the fd actually releases it. Its late CQE misses the
-      // (erased) registration and is dropped.
-      SubmitCancel(tag);
-    }
-    regs_.erase(it);
-  }
-
-  Status Wait(std::vector<Event>* out) override {
-    out->clear();
-    cqes_.clear();
-    for (;;) {
-      // Re-arm pass: one POLL_ADD per disarmed registration, all
-      // submitted together by the blocking enter below. Entries with a
-      // cancellation in flight stay down until it resolves.
-      for (auto& [tag, reg] : regs_) {
-        if (reg.armed || reg.cancel_pending) continue;
-        if (!ring_->PrepPollAdd(reg.fd, EpollToPollMask(reg.interest), tag,
-                                reg.multishot)) {
-          SIMCLOUD_RETURN_NOT_OK(ring_->Submit());
-          if (!ring_->PrepPollAdd(reg.fd, EpollToPollMask(reg.interest), tag,
-                                  reg.multishot)) {
-            return Status::Internal("io_uring SQ full after submit");
-          }
-        }
-        reg.armed = true;
-      }
-      SIMCLOUD_RETURN_NOT_OK(ring_->SubmitAndWait(1));
-      cqes_.clear();
-      ring_->DrainCompletions(&cqes_);
-      for (const IoRing::Cqe& cqe : cqes_) {
-        if ((cqe.user_data & kCancelCqeBit) != 0) continue;
-        auto it = regs_.find(cqe.user_data);
-        if (it == regs_.end()) continue;  // removed; stale completion
-        Reg& reg = it->second;
-        if (cqe.res < 0) {
-          // -ECANCELED from a Modify/raced cancel, or -EINVAL from a
-          // kernel without multishot poll: disarm (and downgrade) so
-          // the next pass re-arms with the current mask.
-          if (cqe.res == -EINVAL && reg.multishot) reg.multishot = false;
-          reg.armed = false;
-          reg.cancel_pending = false;
-          continue;
-        }
-        if ((cqe.flags & IORING_CQE_F_MORE) == 0) reg.armed = false;
-        if (reg.cancel_pending) {
-          // Completed before the cancel landed; the cancel's own CQE
-          // (marked kCancelCqeBit) is dropped above, and if it catches
-          // the re-armed poll the -ECANCELED branch re-arms again.
-          reg.cancel_pending = false;
-        }
-        const uint32_t fired = PollToEpollMask(static_cast<uint32_t>(cqe.res));
-        const uint32_t wanted =
-            fired & (reg.interest | EPOLLERR | EPOLLHUP);
-        if (wanted != 0) out->push_back(Event{cqe.user_data, wanted});
-      }
-      if (!out->empty()) return Status::OK();
-      // Every CQE was housekeeping (cancellations, filtered stale
-      // events): block again rather than return an empty batch.
-    }
-  }
-
- private:
-  struct Reg {
-    int fd = -1;
-    uint32_t interest = 0;
-    bool multishot = false;
-    bool armed = false;
-    bool cancel_pending = false;
-  };
-
-  static constexpr unsigned kRingEntries = 256;
-
-  explicit UringEngine(std::unique_ptr<IoRing> ring)
-      : ring_(std::move(ring)) {}
-
-  void SubmitCancel(uint64_t tag) {
-    if (!ring_->PrepPollRemove(tag, tag | kCancelCqeBit)) {
-      if (!ring_->Submit().ok() ||
-          !ring_->PrepPollRemove(tag, tag | kCancelCqeBit)) {
-        // Queue stuck: the poll stays armed; worst case a stale event
-        // is filtered by the interest mask at delivery.
-        return;
-      }
-    }
-    // Submitted with the next batched enter (Wait's preamble).
-  }
-
-  std::unique_ptr<IoRing> ring_;
-  std::unordered_map<uint64_t, Reg> regs_;
-  std::vector<IoRing::Cqe> cqes_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<EventEngine>> EventEngine::Create() {
-  const char* env = std::getenv("SIMCLOUD_IO_ENGINE");
-  const std::string choice = env == nullptr ? "" : env;
-  if (choice == "uring") {
-    Result<std::unique_ptr<EventEngine>> uring = UringEngine::Make();
-    if (uring.ok()) return uring;
-    SIMCLOUD_LOG(kWarn) << "io_uring unavailable ("
-                        << uring.status().message()
-                        << "); falling back to epoll";
-  } else if (!choice.empty() && choice != "epoll") {
-    SIMCLOUD_LOG(kWarn) << "unknown SIMCLOUD_IO_ENGINE value '" << choice
-                        << "'; using epoll";
-  }
-  return EpollEngine::Make();
+  return Status::OK();
 }
 
 }  // namespace net

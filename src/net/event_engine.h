@@ -1,25 +1,13 @@
-// Readiness engine behind TcpServer's event loop.
+// Readiness engine behind TcpServer's event loop: a thin epoll wrapper.
 //
 // The server's loop logic (accept, incremental reads, backpressure,
-// completion flushing) is engine-agnostic: it registers fds with an
-// interest mask and consumes (tag, events) pairs. EventEngine is that
-// seam. Two implementations exist:
-//   - EpollEngine: the original epoll_wait loop, the default.
-//   - UringEngine: io_uring poll-driven readiness. Oneshot POLL_ADD
-//     SQEs are re-armed in batched submissions (one io_uring_enter per
-//     loop iteration instead of one epoll_ctl syscall per interest
-//     change); fds whose interest never changes (listen, wake) use
-//     multishot poll where the kernel supports it.
-// Selection: SIMCLOUD_IO_ENGINE=uring opts into io_uring, with a
-// runtime probe that falls back to epoll — logging the reason — on
-// kernels or sandboxes without io_uring. Unset or "epoll" keeps the
-// default. Event masks use the epoll bit values (EPOLLIN/EPOLLOUT/
-// EPOLLRDHUP/...) in both engines, and delivery semantics are
-// level-triggered either way, so TcpServer behaves identically under
-// both engines.
+// completion flushing) registers fds with an EPOLL* interest mask and
+// consumes (tag, events) pairs. Delivery is level-triggered.
 
 #ifndef SIMCLOUD_NET_EVENT_ENGINE_H_
 #define SIMCLOUD_NET_EVENT_ENGINE_H_
+
+#include <sys/epoll.h>
 
 #include <cstdint>
 #include <memory>
@@ -41,31 +29,32 @@ class EventEngine {
     uint32_t events = 0;  ///< EPOLL* bits that fired
   };
 
-  virtual ~EventEngine() = default;
+  /// Opens the epoll instance.
+  static Result<std::unique_ptr<EventEngine>> Create();
+  ~EventEngine();
 
-  /// Engine name for banners/logs: "epoll" or "io_uring".
-  virtual const char* name() const = 0;
+  EventEngine(const EventEngine&) = delete;
+  EventEngine& operator=(const EventEngine&) = delete;
 
-  /// Registers `fd` with interest `events`. `constant_interest` promises
-  /// Modify will never be called for this fd (lets the io_uring engine
-  /// keep a standing multishot poll armed).
-  virtual Status Add(int fd, uint64_t tag, uint32_t events,
-                     bool constant_interest) = 0;
+  /// Registers `fd` with interest `events`.
+  Status Add(int fd, uint64_t tag, uint32_t events);
   /// Replaces the interest mask of a registered fd.
-  virtual Status Modify(int fd, uint64_t tag, uint32_t events) = 0;
-  /// Deregisters an fd. Call BEFORE closing the fd (the io_uring engine
-  /// must cancel any in-flight poll holding a reference to the file).
-  /// Stale events for `tag` may still surface from the current batch;
-  /// the caller's tag lookup makes them harmless.
-  virtual void Remove(int fd, uint64_t tag) = 0;
+  Status Modify(int fd, uint64_t tag, uint32_t events);
+  /// Deregisters an fd. Stale events for its tag may still surface from
+  /// the current batch; the caller's tag lookup makes them harmless.
+  void Remove(int fd);
 
   /// Blocks until at least one event is ready; appends them to `out`
   /// (which is cleared first). An error here is loop-fatal.
-  virtual Status Wait(std::vector<Event>* out) = 0;
+  Status Wait(std::vector<Event>* out);
 
-  /// Builds the engine selected by SIMCLOUD_IO_ENGINE ("epoll" default,
-  /// "uring" opts into io_uring with probe + epoll fallback).
-  static Result<std::unique_ptr<EventEngine>> Create();
+ private:
+  explicit EventEngine(int epoll_fd);
+
+  Status Ctl(int op, int fd, uint64_t tag, uint32_t events, const char* what);
+
+  int epoll_fd_;
+  std::vector<epoll_event> raw_events_;
 };
 
 }  // namespace net

@@ -291,18 +291,15 @@ Status TcpServer::Start(uint16_t port) {
   engine_ = std::move(*engine);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) return fail("eventfd");
-  // The listen and wake fds keep EPOLLIN interest forever, which lets
-  // the io_uring engine hold a standing multishot poll on them.
-  if (!engine_->Add(listen_fd_, kListenTag, EPOLLIN, true).ok()) {
+  if (!engine_->Add(listen_fd_, kListenTag, EPOLLIN).ok()) {
     return fail("register(listen)");
   }
-  if (!engine_->Add(wake_fd_, kWakeTag, EPOLLIN, true).ok()) {
+  if (!engine_->Add(wake_fd_, kWakeTag, EPOLLIN).ok()) {
     return fail("register(wake)");
   }
   SIMCLOUD_LOG(kInfo) << obs::RuntimeBanner(
       "TcpServer",
-      "127.0.0.1:" + std::to_string(port_) + " io_engine=" + engine_->name() +
-          " policy=" +
+      "127.0.0.1:" + std::to_string(port_) + " policy=" +
           (options_.channel_policy == ChannelPolicy::kSecure ? "secure"
                                                              : "plaintext"));
 
@@ -542,8 +539,7 @@ void TcpServer::AcceptNewConnections() {
       if (obs::MetricsEnabled()) conn->accept_nanos = obs::MonotonicNanos();
     }
     conn->interest = EPOLLIN | EPOLLRDHUP;
-    const Status add_status =
-        engine_->Add(fd, conn->gen, conn->interest, /*constant_interest=*/false);
+    const Status add_status = engine_->Add(fd, conn->gen, conn->interest);
     if (!add_status.ok()) {
       SIMCLOUD_LOG(kWarn) << "engine add failed: " << add_status.message();
       ::close(fd);
@@ -784,7 +780,7 @@ void TcpServer::CloseConnection(Connection* conn) {
     std::lock_guard<std::mutex> lock(conn->shared->mutex);
     conn->shared->open = false;
   }
-  engine_->Remove(conn->fd, conn->gen);  // before close: cancels uring polls
+  engine_->Remove(conn->fd);  // before close: the fd number may be reused
   ::close(conn->fd);
   active_connections_.fetch_sub(1);
   ConnectionsGauge()->Add(-1);

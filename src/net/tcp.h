@@ -2,12 +2,11 @@
 // deployment of the encryption client and M-Index server as two processes
 // communicating over the loopback interface.
 //
-// The server is a readiness-driven event engine (epoll by default,
-// io_uring via SIMCLOUD_IO_ENGINE=uring — see net/event_engine.h): one
-// event-loop thread owns every connection (nonblocking sockets,
-// incremental frame reassembly, bounded per-connection output queues
-// with read backpressure) and a
-// small fixed worker pool executes RequestHandler calls off the loop.
+// The server is a readiness-driven event engine (epoll — see
+// net/event_engine.h): one event-loop thread owns every connection
+// (nonblocking sockets, incremental frame reassembly, bounded
+// per-connection output queues with read backpressure) and a small
+// fixed worker pool executes RequestHandler calls off the loop.
 // Thousands of mostly-idle connections therefore cost O(worker pool)
 // threads, not O(connections), and one connection can pipeline many
 // in-flight requests. See src/net/README.md for the full framing and
@@ -120,10 +119,6 @@ class TcpServer {
 
   /// Engine introspection (tests and benches).
   size_t worker_threads() const { return options_.worker_threads; }
-  /// Readiness-engine name ("epoll" or "io_uring"); valid after Start.
-  const char* io_engine_name() const {
-    return engine_ ? engine_->name() : "none";
-  }
   size_t active_connections() const { return active_connections_.load(); }
   uint64_t frames_dispatched() const { return frames_dispatched_.load(); }
   uint64_t frames_completed() const { return frames_completed_.load(); }
@@ -228,8 +223,7 @@ class TcpServer {
   TcpServerOptions options_;
   int listen_fd_ = -1;
   int wake_fd_ = -1;
-  /// Readiness engine (epoll by default, io_uring when selected via
-  /// SIMCLOUD_IO_ENGINE=uring). Owned by the loop thread after Start.
+  /// Readiness engine (epoll). Owned by the loop thread after Start.
   std::unique_ptr<EventEngine> engine_;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};

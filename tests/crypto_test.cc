@@ -347,6 +347,19 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
             Sha256::Hash(data));
 }
 
+TEST(Sha256Test, EmptyUpdateAfterPartialBlockIsANoOp) {
+  // An empty update with a null pointer (what an empty Bytes hands over)
+  // lands on a partly filled buffer and must leave the digest alone.
+  const std::string text = "partial block";
+  const Bytes data(text.begin(), text.end());
+  Sha256 hasher;
+  hasher.Update(data);
+  hasher.Update(nullptr, 0);
+  hasher.Update(Bytes());
+  auto digest = hasher.Finish();
+  EXPECT_EQ(Bytes(digest.begin(), digest.end()), Sha256::Hash(data));
+}
+
 // -------------------------------------------------------------- HMAC/PBKDF2
 
 TEST(HmacTest, Rfc4231Case1) {

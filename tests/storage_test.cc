@@ -4,6 +4,7 @@
 // handle.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -199,6 +200,46 @@ TEST(DiskStorageTest, FetchManyCoalescesAcrossSegmentBoundary) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(fetched[i], expected[i]) << "payload " << i;
   }
+  disk.reset();
+  std::remove(path.c_str());
+}
+
+TEST(DiskStorageTest, TruncatedLogIsCorruptionNotShortBytes) {
+  // A backing file cut mid-payload (lost tail, external truncation) must
+  // surface as Corruption from both read paths — never as a short or
+  // zero-filled payload handed to the client's decrypt.
+  const std::string path = testing::TempDir() + "/simcloud_truncated.bin";
+  auto created = DiskStorage::Create(path);
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<DiskStorage> disk = std::move(created).value();
+  const size_t payload_bytes = 1000;
+  std::vector<PayloadHandle> handles;
+  std::vector<Bytes> expected;
+  for (int i = 0; i < 4; ++i) {
+    Bytes payload(payload_bytes, static_cast<uint8_t>(0xa0 + i));
+    auto handle = disk->Store(payload);
+    ASSERT_TRUE(handle.ok());
+    handles.push_back(handle.value_or(0));
+    expected.push_back(std::move(payload));
+  }
+  // Cut through the middle of payload 2. The four payloads are
+  // byte-adjacent, so FetchMany reads them as one coalesced run that
+  // spans the cut.
+  ASSERT_EQ(::truncate(path.c_str(), 2 * payload_bytes + payload_bytes / 2),
+            0);
+
+  auto intact = disk->Fetch(handles[1]);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(*intact, expected[1]);
+  for (size_t cut : {size_t{2}, size_t{3}}) {
+    auto fetched = disk->Fetch(handles[cut]);
+    EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption)
+        << "payload " << cut << ": " << fetched.status().ToString();
+  }
+
+  std::vector<Bytes> fetched;
+  const Status batch = disk->FetchMany(handles, &fetched);
+  EXPECT_EQ(batch.code(), StatusCode::kCorruption) << batch.ToString();
   disk.reset();
   std::remove(path.c_str());
 }
