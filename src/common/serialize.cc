@@ -32,6 +32,11 @@ void BinaryWriter::WriteBytes(const Bytes& b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
+void BinaryWriter::WriteBytes(ByteView b) {
+  WriteVarint(b.size);
+  buf_.insert(buf_.end(), b.data, b.data + b.size);
+}
+
 void BinaryWriter::WriteRaw(const uint8_t* data, size_t len) {
   buf_.insert(buf_.end(), data, data + len);
 }
@@ -113,6 +118,14 @@ Result<Bytes> BinaryReader::ReadBytes() {
   Bytes b(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
   return b;
+}
+
+Result<ByteView> BinaryReader::ReadBytesView() {
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t n, ReadVarint());
+  SIMCLOUD_RETURN_NOT_OK(Require(n));
+  const ByteView view{data_ + pos_, static_cast<size_t>(n)};
+  pos_ += n;
+  return view;
 }
 
 Result<std::vector<float>> BinaryReader::ReadFloatVector() {

@@ -20,6 +20,12 @@
 
 namespace simcloud {
 
+/// A non-owning run of bytes inside a buffer the caller keeps alive.
+struct ByteView {
+  const uint8_t* data = nullptr;
+  size_t size = 0;
+};
+
 /// Appends primitive values to a byte buffer.
 class BinaryWriter {
  public:
@@ -50,6 +56,7 @@ class BinaryWriter {
   /// Varint length prefix followed by raw bytes.
   void WriteString(const std::string& s);
   void WriteBytes(const Bytes& b);
+  void WriteBytes(ByteView b);
   /// Raw bytes with no length prefix (caller manages framing).
   void WriteRaw(const uint8_t* data, size_t len);
 
@@ -98,6 +105,9 @@ class BinaryReader {
   Result<bool> ReadBool();
   Result<std::string> ReadString();
   Result<Bytes> ReadBytes();
+  /// Like ReadBytes, but returns a view into the input instead of a
+  /// copy; the view is valid while the input buffer is.
+  Result<ByteView> ReadBytesView();
   Result<std::vector<float>> ReadFloatVector();
   Result<std::vector<uint32_t>> ReadU32Vector();
 
@@ -115,8 +125,10 @@ class BinaryReader {
   size_t position() const { return pos_; }
 
  private:
-  Status Require(size_t n) {
-    if (pos_ + n > len_) {
+  Status Require(uint64_t n) {
+    // Compared against what is left, not as pos_ + n: a hostile varint
+    // length near 2^64 must not wrap past the check.
+    if (n > len_ - pos_) {
       return Status::Corruption("truncated input: need " + std::to_string(n) +
                                 " bytes at offset " + std::to_string(pos_));
     }

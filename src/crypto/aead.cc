@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "crypto/hmac.h"
+#include "crypto/secure_random.h"
 
 namespace simcloud {
 namespace crypto {
@@ -37,42 +38,71 @@ Result<AeadCipher> AeadCipher::Create(const Bytes& master_key) {
   return aead;
 }
 
-Bytes AeadCipher::ComputeTag(const Bytes& iv_and_ciphertext,
-                             const Bytes& associated_data) const {
+Bytes AeadCipher::ComputeTag(const uint8_t* iv_and_ciphertext, size_t size,
+                             const uint8_t* associated_data,
+                             size_t ad_size) const {
   // Stream the framed message straight into the MAC — no concat buffer;
   // this runs once per wire record in the secure channel.
   HmacSha256State::Stream mac = mac_state_.NewStream();
   uint8_t ad_len_prefix[8];
-  const uint64_t ad_len = associated_data.size();
+  const uint64_t ad_len = ad_size;
   for (int i = 0; i < 8; ++i) {
     ad_len_prefix[i] = static_cast<uint8_t>(ad_len >> (56 - 8 * i));
   }
   mac.Update(ad_len_prefix, sizeof(ad_len_prefix));
-  mac.Update(associated_data);
-  mac.Update(iv_and_ciphertext);
+  mac.Update(associated_data, ad_size);
+  mac.Update(iv_and_ciphertext, size);
   return mac.Finish();
+}
+
+Status AeadCipher::SealInPlace(uint8_t* sealed, size_t plaintext_size,
+                               const uint8_t* associated_data,
+                               size_t ad_size) const {
+  SIMCLOUD_RETURN_NOT_OK(SecureRandom::Fill(sealed, kIvSize));
+  enc_->CtrXorInPlace(sealed, sealed + kIvSize, plaintext_size);
+  const Bytes tag = ComputeTag(sealed, kIvSize + plaintext_size,
+                               associated_data, ad_size);
+  std::memcpy(sealed + kIvSize + plaintext_size, tag.data(), kTagSize);
+  return Status::OK();
+}
+
+Status AeadCipher::OpenInPlace(uint8_t* sealed, size_t sealed_size,
+                               const uint8_t* associated_data,
+                               size_t ad_size) const {
+  if (sealed_size < kIvSize + kTagSize) {
+    return Status::Corruption("sealed buffer too short for iv + tag");
+  }
+  const size_t body = sealed_size - kTagSize;
+  const Bytes expected = ComputeTag(sealed, body, associated_data, ad_size);
+  if (!ConstantTimeEquals(sealed + body, expected.data(), kTagSize)) {
+    return Status::Corruption("AEAD tag mismatch: payload was tampered with");
+  }
+  enc_->CtrXorInPlace(sealed, sealed + kIvSize, body - kIvSize);
+  return Status::OK();
 }
 
 Result<Bytes> AeadCipher::Seal(const Bytes& plaintext,
                                const Bytes& associated_data) const {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes sealed, enc_->Encrypt(plaintext));
-  const Bytes tag = ComputeTag(sealed, associated_data);
-  sealed.insert(sealed.end(), tag.begin(), tag.end());
+  Bytes sealed;
+  sealed.reserve(SealedSize(plaintext.size()));
+  sealed.resize(kIvSize);
+  sealed.insert(sealed.end(), plaintext.begin(), plaintext.end());
+  sealed.resize(SealedSize(plaintext.size()));
+  SIMCLOUD_RETURN_NOT_OK(SealInPlace(sealed.data(), plaintext.size(),
+                                     associated_data.data(),
+                                     associated_data.size()));
   return sealed;
 }
 
 Result<Bytes> AeadCipher::Open(const Bytes& sealed,
                                const Bytes& associated_data) const {
-  if (sealed.size() < kIvSize + kTagSize) {
-    return Status::Corruption("sealed buffer too short for iv + tag");
-  }
-  const Bytes body(sealed.begin(), sealed.end() - kTagSize);
-  const Bytes tag(sealed.end() - kTagSize, sealed.end());
-  const Bytes expected = ComputeTag(body, associated_data);
-  if (!ConstantTimeEquals(tag, expected)) {
-    return Status::Corruption("AEAD tag mismatch: payload was tampered with");
-  }
-  return enc_->Decrypt(body);
+  Bytes buffer = sealed;
+  SIMCLOUD_RETURN_NOT_OK(OpenInPlace(buffer.data(), buffer.size(),
+                                     associated_data.data(),
+                                     associated_data.size()));
+  buffer.resize(buffer.size() - kTagSize);
+  buffer.erase(buffer.begin(), buffer.begin() + kIvSize);
+  return buffer;
 }
 
 }  // namespace crypto

@@ -51,14 +51,30 @@ class AeadCipher {
 
   /// Encrypts and authenticates `plaintext`, binding `associated_data`
   /// (not transmitted) into the tag. Returns iv || ciphertext || tag.
+  /// A wrapper over SealInPlace: the plaintext is copied in once.
   Result<Bytes> Seal(const Bytes& plaintext,
                      const Bytes& associated_data = {}) const;
 
   /// Verifies the tag (constant-time) and decrypts. Returns Corruption if
   /// the buffer is malformed or the tag does not match — in that case no
-  /// plaintext is revealed.
+  /// plaintext is revealed. A wrapper over OpenInPlace on a copy.
   Result<Bytes> Open(const Bytes& sealed,
                      const Bytes& associated_data = {}) const;
+
+  /// The in-place core of Seal. `sealed` holds SealedSize(plaintext_size)
+  /// bytes with the plaintext at sealed + kIvSize. On return the buffer
+  /// is iv || ciphertext || tag under a fresh random IV — the bytes Seal
+  /// returns, with no copy and no allocation of the body.
+  Status SealInPlace(uint8_t* sealed, size_t plaintext_size,
+                     const uint8_t* associated_data, size_t ad_size) const;
+
+  /// The in-place core of Open. Verifies the tag over the iv and the
+  /// ciphertext FIRST and only then decrypts the ciphertext in place: on
+  /// success the plaintext is sealed[kIvSize, sealed_size - kTagSize);
+  /// on a short buffer or a tag mismatch it returns Corruption and
+  /// leaves every byte of the buffer as it was.
+  Status OpenInPlace(uint8_t* sealed, size_t sealed_size,
+                     const uint8_t* associated_data, size_t ad_size) const;
 
   /// Size in bytes of Seal()'s output for an n-byte plaintext.
   static size_t SealedSize(size_t plaintext_size) {
@@ -71,8 +87,8 @@ class AeadCipher {
         mac_state_(mac_key) {}
 
   /// Computes the tag over (len(ad) || ad || iv_and_ciphertext).
-  Bytes ComputeTag(const Bytes& iv_and_ciphertext,
-                   const Bytes& associated_data) const;
+  Bytes ComputeTag(const uint8_t* iv_and_ciphertext, size_t size,
+                   const uint8_t* associated_data, size_t ad_size) const;
 
   std::shared_ptr<Cipher> enc_;
   /// Precomputed HMAC key schedule: tagging pays only the message

@@ -128,19 +128,26 @@ Result<Bytes> Cipher::DecryptCbc(const Bytes& ciphertext) const {
 
 Result<Bytes> Cipher::EncryptCtr(const Bytes& plaintext,
                                  const Bytes& iv) const {
-  Bytes out(kBlock + plaintext.size());
-  std::memcpy(out.data(), iv.data(), kBlock);
-  CtrXor(aes_, iv.data(), plaintext.data(), out.data() + kBlock,
-         plaintext.size());
+  // iv || plaintext copied in once, then encrypted in place: the CTR
+  // kernel overwrites every byte, so there is nothing to zero first.
+  Bytes out;
+  out.reserve(kBlock + plaintext.size());
+  out.insert(out.end(), iv.begin(), iv.end());
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  CtrXorInPlace(iv.data(), out.data() + kBlock, plaintext.size());
   return out;
 }
 
 Result<Bytes> Cipher::DecryptCtr(const Bytes& ciphertext) const {
   // CTR decryption is encryption of the body under the stored IV.
-  Bytes out(ciphertext.size() - kBlock);
-  CtrXor(aes_, ciphertext.data(), ciphertext.data() + kBlock, out.data(),
-         out.size());
+  Bytes out(ciphertext.begin() + kBlock, ciphertext.end());
+  CtrXorInPlace(ciphertext.data(), out.data(), out.size());
   return out;
+}
+
+void Cipher::CtrXorInPlace(const uint8_t* iv, uint8_t* data,
+                           size_t len) const {
+  CtrXor(aes_, iv, data, data, len);
 }
 
 }  // namespace crypto

@@ -45,6 +45,11 @@ class Cipher {
   /// Size in bytes of Encrypt()'s output for an n-byte plaintext.
   size_t CiphertextSize(size_t plaintext_size) const;
 
+  /// CTR mode only: XORs the keystream under the 16-byte `iv` over
+  /// data[0..len) in place (encrypt and decrypt are the same operation).
+  /// The AEAD seals and opens caller-owned buffers through this.
+  void CtrXorInPlace(const uint8_t* iv, uint8_t* data, size_t len) const;
+
   CipherMode mode() const { return mode_; }
 
  private:

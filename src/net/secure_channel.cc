@@ -124,13 +124,21 @@ SecureChannel::~SecureChannel() { WipeBytes(&prk_); }
 
 namespace {
 
-/// The associated data binding a record to its direction and position.
-Bytes RecordAssociatedData(const char* label, uint64_t epoch, uint64_t seq) {
-  Bytes ad = LabelBytes(label);
-  AppendU64(epoch, &ad);
-  AppendU64(seq, &ad);
-  return ad;
-}
+/// The associated data binding a record to its direction and position:
+/// label || u64 epoch || u64 seq, built on the stack per record.
+struct RecordAd {
+  RecordAd(const char* label, uint64_t epoch, uint64_t seq) {
+    size = std::strlen(label);
+    std::memcpy(bytes, label, size);
+    for (uint64_t v : {epoch, seq}) {
+      for (int i = 0; i < 8; ++i) {
+        bytes[size++] = static_cast<uint8_t>(v >> (8 * i));
+      }
+    }
+  }
+  uint8_t bytes[sizeof(kC2sLabel) + 16];
+  size_t size = 0;
+};
 
 }  // namespace
 
@@ -157,24 +165,37 @@ Status SecureChannel::Advance(Direction* dir, size_t plaintext_bytes) {
 }
 
 Result<Bytes> SecureChannel::Seal(const Bytes& plaintext) {
-  const Bytes ad = RecordAssociatedData(send_.label, send_.epoch, send_.seq);
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes sealed, send_.aead->Seal(plaintext, ad));
-  if (sealed.size() > 0xFFFFFFFFull) {
-    return Status::InvalidArgument("record exceeds the u32 length prefix");
-  }
   Bytes record;
-  record.reserve(kRecordHeaderSize + sealed.size());
-  const uint32_t len = static_cast<uint32_t>(sealed.size());
-  for (int i = 0; i < 4; ++i) {
-    record.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  record.insert(record.end(), sealed.begin(), sealed.end());
-  SIMCLOUD_RETURN_NOT_OK(Advance(&send_, plaintext.size()));
+  record.reserve(kSealOverhead + plaintext.size());
+  record.resize(kRecordHeadroom);
+  record.insert(record.end(), plaintext.begin(), plaintext.end());
+  SIMCLOUD_RETURN_NOT_OK(SealRecord(&record));
   return record;
 }
 
-Status SecureChannel::Ingest(const uint8_t* data, size_t len,
-                             size_t* consumed, Bytes* plain) {
+Status SecureChannel::SealRecord(Bytes* record) {
+  if (record->size() < kRecordHeadroom) {
+    return Status::InvalidArgument("record buffer lacks its headroom");
+  }
+  const size_t plaintext_size = record->size() - kRecordHeadroom;
+  const uint64_t sealed_len =
+      crypto::AeadCipher::SealedSize(plaintext_size);
+  if (sealed_len > 0xFFFFFFFFull) {
+    return Status::InvalidArgument("record exceeds the u32 length prefix");
+  }
+  record->resize(kRecordHeaderSize + sealed_len);  // room for the tag
+  uint8_t* const out = record->data();
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<uint8_t>(sealed_len >> (8 * i));
+  }
+  const RecordAd ad(send_.label, send_.epoch, send_.seq);
+  SIMCLOUD_RETURN_NOT_OK(send_.aead->SealInPlace(
+      out + kRecordHeaderSize, plaintext_size, ad.bytes, ad.size));
+  return Advance(&send_, plaintext_size);
+}
+
+Status SecureChannel::Ingest(uint8_t* data, size_t len, size_t* consumed,
+                             Bytes* plain) {
   *consumed = 0;
   SIMCLOUD_RETURN_NOT_OK(broken_);
   for (;;) {
@@ -190,22 +211,23 @@ Status SecureChannel::Ingest(const uint8_t* data, size_t len,
       return broken_;
     }
     if (avail < kRecordHeaderSize + sealed_len) return Status::OK();
-    const uint8_t* body = data + *consumed + kRecordHeaderSize;
-    const Bytes sealed(body, body + sealed_len);
-    const Bytes ad = RecordAssociatedData(recv_.label, recv_.epoch,
-                                          recv_.seq);
-    Result<Bytes> opened = recv_.aead->Open(sealed, ad);
+    uint8_t* const sealed = data + *consumed + kRecordHeaderSize;
+    const RecordAd ad(recv_.label, recv_.epoch, recv_.seq);
+    Status opened =
+        recv_.aead->OpenInPlace(sealed, sealed_len, ad.bytes, ad.size);
     if (!opened.ok()) {
       // Tampering, truncation, or a replayed/reordered record (the
       // expected sequence number has moved on). Nothing is decryptable
       // past this point; the connection must die.
       broken_ = Status::NetworkError(
-          "secure record failed authentication: " +
-          opened.status().message());
+          "secure record failed authentication: " + opened.message());
       return broken_;
     }
-    plain->insert(plain->end(), opened->begin(), opened->end());
-    Status advanced = Advance(&recv_, opened->size());
+    const size_t plain_len = sealed_len - crypto::AeadCipher::kIvSize -
+                             crypto::AeadCipher::kTagSize;
+    const uint8_t* const opened_plain = sealed + crypto::AeadCipher::kIvSize;
+    plain->insert(plain->end(), opened_plain, opened_plain + plain_len);
+    Status advanced = Advance(&recv_, plain_len);
     if (!advanced.ok()) {
       broken_ = advanced;
       return broken_;

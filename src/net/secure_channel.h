@@ -133,19 +133,37 @@ class SecureChannel {
   /// Wipes the PRK and both direction keys.
   ~SecureChannel();
 
+  /// Bytes a record carries in front of its plaintext: the u32 length
+  /// prefix and the AEAD IV. SealRecord's buffers start with this much
+  /// headroom so the plaintext is sealed where it already lies.
+  static constexpr size_t kRecordHeadroom =
+      kRecordHeaderSize + crypto::AeadCipher::kIvSize;
+
   /// Seals `plaintext` (one frame, or any stream segment) into one
   /// length-prefixed record under the send direction's current
-  /// (epoch, seq), then advances the send schedule.
+  /// (epoch, seq), then advances the send schedule. Copies the plaintext
+  /// into the record buffer once and seals it there (SealRecord).
   Result<Bytes> Seal(const Bytes& plaintext);
+
+  /// Seals a record in place. `*record` holds kRecordHeadroom bytes of
+  /// headroom (their contents are ignored) followed by the plaintext; on
+  /// return it is the complete wire record — length prefix, IV,
+  /// ciphertext, tag — grown only by the tag. Reserve kSealOverhead
+  /// extra bytes up front and the buffer never reallocates.
+  Status SealRecord(Bytes* record);
 
   /// Consumes complete records from data[0..len), appending their
   /// plaintext to `*plain` and the consumed byte count to `*consumed`
-  /// (partial trailing records are left for the caller's buffer). Any
-  /// authentication failure — tampering, replay, reordering, truncation,
-  /// a record beyond max_record_bytes — is a NetworkError; the caller
-  /// must close the connection, and the channel stays failed.
-  Status Ingest(const uint8_t* data, size_t len, size_t* consumed,
-                Bytes* plain);
+  /// (partial trailing records are left for the caller's buffer). The
+  /// buffer is MUTATED: each record is authenticated and then decrypted
+  /// in place, so the consumed bytes no longer hold the wire record; the
+  /// only copy is the plaintext appended to `*plain`. Bytes past
+  /// `*consumed` are untouched. Any authentication failure — tampering,
+  /// replay, reordering, truncation, a record beyond max_record_bytes —
+  /// is a NetworkError; the failed record is left undecrypted and
+  /// nothing of it is appended. The caller must close the connection,
+  /// and the channel stays failed.
+  Status Ingest(uint8_t* data, size_t len, size_t* consumed, Bytes* plain);
 
   /// Telemetry for tests and benches.
   uint64_t send_epoch() const { return send_.epoch; }

@@ -104,56 +104,97 @@ void StoreLE32(uint32_t v, uint8_t* p) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-Result<Bytes> EncodeFrame(uint32_t request_id, const Bytes& payload) {
+/// Appends one frame (legacy when request_id is 0) — header, then
+/// `payload` — to `*out`.
+Status AppendFrame(uint32_t request_id, const Bytes& payload, Bytes* out) {
   if (payload.size() > kMaxFrameLength) {
     return Status::InvalidArgument("frame body of " +
                                    std::to_string(payload.size()) +
                                    " bytes exceeds the 31-bit frame limit");
   }
-  // One contiguous buffer so a frame usually leaves in a single send.
-  const size_t header_len = request_id != 0 ? 8 : 4;
-  Bytes frame(header_len + payload.size());
+  const size_t header_at = out->size();
+  out->resize(header_at + (request_id != 0 ? 8 : 4));
   StoreLE32(static_cast<uint32_t>(payload.size()) |
                 (request_id != 0 ? kFrameIdFlag : 0),
-            frame.data());
-  if (request_id != 0) StoreLE32(request_id, frame.data() + 4);
-  std::memcpy(frame.data() + header_len, payload.data(), payload.size());
-  return frame;
+            out->data() + header_at);
+  if (request_id != 0) StoreLE32(request_id, out->data() + header_at + 4);
+  out->insert(out->end(), payload.begin(), payload.end());
+  return Status::OK();
 }
 
 Status WriteFrameInternal(int fd, uint32_t request_id, const Bytes& payload) {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(request_id, payload));
+  // One contiguous buffer so a frame usually leaves in a single send.
+  Bytes frame;
+  frame.reserve(8 + payload.size());
+  SIMCLOUD_RETURN_NOT_OK(AppendFrame(request_id, payload, &frame));
   return WriteAll(fd, frame.data(), frame.size());
 }
 
-/// Tries to parse one frame (either framing) from buf[*off..]; advances
-/// `*off` and fills `*out` when a complete frame is available. Returns
-/// false when more bytes are needed, an error on protocol violations.
-Result<bool> TryParseFrame(const Bytes& buf, size_t* off, size_t max_len,
-                           DecodedFrame* out) {
-  const size_t avail = buf.size() - *off;
+/// Response bodies start with u64 server_nanos and a one-byte ok flag.
+constexpr size_t kResponsePrefix = 9;
+
+/// Builds one whole response frame — header, u64 server_nanos, ok flag,
+/// `body` — in a single buffer, so the body is copied exactly once.
+/// `body` is the payload when `ok`, the varint-prefixed error text
+/// otherwise. InvalidArgument past the 31-bit frame limit.
+Result<Bytes> EncodeResponseFrame(uint32_t request_id, uint64_t server_nanos,
+                                  bool ok, const uint8_t* body,
+                                  size_t body_len) {
+  const uint64_t frame_len = kResponsePrefix + uint64_t{body_len};
+  if (frame_len > kMaxFrameLength) {
+    return Status::InvalidArgument("response exceeds the 31-bit frame limit");
+  }
+  const size_t header_len = request_id != 0 ? 8 : 4;
+  Bytes frame;
+  frame.reserve(header_len + frame_len);
+  frame.resize(header_len + kResponsePrefix);
+  StoreLE32(static_cast<uint32_t>(frame_len) |
+                (request_id != 0 ? kFrameIdFlag : 0),
+            frame.data());
+  if (request_id != 0) StoreLE32(request_id, frame.data() + 4);
+  for (int i = 0; i < 8; ++i) {
+    frame[header_len + i] = static_cast<uint8_t>(server_nanos >> (8 * i));
+  }
+  frame[header_len + 8] = ok ? 1 : 0;
+  frame.insert(frame.end(), body, body + body_len);
+  return frame;
+}
+
+/// An error response frame carrying `message`.
+Bytes EncodeErrorFrame(uint32_t request_id, uint64_t server_nanos,
+                       const std::string& message) {
+  BinaryWriter text;
+  text.WriteString(message);
+  Result<Bytes> frame = EncodeResponseFrame(
+      request_id, server_nanos, false, text.buffer().data(), text.size());
+  if (frame.ok()) return std::move(*frame);
+  return EncodeErrorFrame(request_id, server_nanos,
+                          "error text exceeds the 31-bit frame limit");
+}
+
+/// Reads a frame header in place from p[0..avail): fills the request id,
+/// body length and header length. Returns false when more bytes are
+/// needed, an error on protocol violations.
+Result<bool> ParseFrameHeader(const uint8_t* p, size_t avail, size_t max_len,
+                              uint32_t* request_id, uint32_t* len,
+                              size_t* header_len) {
   if (avail < 4) return false;
-  const uint8_t* p = buf.data() + *off;
   const uint32_t raw = LoadLE32(p);
   const bool pipelined = (raw & kFrameIdFlag) != 0;
-  const uint32_t len = raw & ~kFrameIdFlag;
-  const size_t header_len = pipelined ? 8 : 4;
-  if (len > max_len) {
-    return Status::NetworkError("frame length " + std::to_string(len) +
+  *len = raw & ~kFrameIdFlag;
+  *header_len = pipelined ? 8 : 4;
+  if (*len > max_len) {
+    return Status::NetworkError("frame length " + std::to_string(*len) +
                                 " exceeds limit");
   }
-  if (avail < header_len) return false;
-  uint32_t id = 0;
+  if (avail < *header_len) return false;
+  *request_id = 0;
   if (pipelined) {
-    id = LoadLE32(p + 4);
-    if (id == 0) {
+    *request_id = LoadLE32(p + 4);
+    if (*request_id == 0) {
       return Status::NetworkError("pipelined frame with request id 0");
     }
   }
-  if (avail < header_len + len) return false;
-  out->request_id = id;
-  out->payload.assign(p + header_len, p + header_len + len);
-  *off += header_len + len;
   return true;
 }
 
@@ -331,20 +372,12 @@ class TcpServer::ConnPushSink : public PushSink {
     // no handler ran — ok flag, payload) so the client parses pushes and
     // responses with one decoder, and secure connections seal them like
     // any response burst.
-    BinaryWriter body;
-    body.Reserve(payload.size() + 16);
-    body.WriteU64(0);
-    body.WriteBool(true);
-    body.WriteRaw(payload.data(), payload.size());
-    Bytes encoded = body.TakeBuffer();
-    if (encoded.size() > kMaxFrameLength) {
+    Result<Bytes> encoded =
+        EncodeResponseFrame(id_, 0, true, payload.data(), payload.size());
+    if (!encoded.ok()) {
       return Status::InvalidArgument("push exceeds the 31-bit frame limit");
     }
-    Bytes frame(8 + encoded.size());
-    StoreLE32(static_cast<uint32_t>(encoded.size()) | kFrameIdFlag,
-              frame.data());
-    StoreLE32(id_, frame.data() + 4);
-    std::memcpy(frame.data() + 8, encoded.data(), encoded.size());
+    Bytes frame = std::move(*encoded);
 
     std::lock_guard<std::mutex> open_lock(shared_->mutex);
     if (!shared_->open) {
@@ -790,6 +823,16 @@ void TcpServer::CloseConnection(Connection* conn) {
   connections_.erase(conn->gen);  // frees conn
 }
 
+void TcpServer::RecordPeakOutput(const Connection* conn) {
+  uint64_t peak = peak_output_queue_bytes_.load();
+  while (conn->out_bytes > peak &&
+         !peak_output_queue_bytes_.compare_exchange_weak(peak,
+                                                         conn->out_bytes)) {
+  }
+  PeakOutputQueueGauge()->Set(
+      static_cast<int64_t>(peak_output_queue_bytes_.load()));
+}
+
 void TcpServer::DrainCompletions() {
   std::vector<Completion> done;
   {
@@ -801,11 +844,12 @@ void TcpServer::DrainCompletions() {
   // send instead of one per response.
   std::vector<uint64_t> touched;
   // Secure connections: a burst of responses for one connection is
-  // concatenated and sealed as ONE record (the record layer carries a
-  // byte stream, not frames), so the per-record AEAD cost — two SHA-256
-  // passes plus AES-CTR — is paid once per burst instead of once per
-  // response. `pending_seal` coalesces per connection within this drain.
-  std::unordered_map<uint64_t, Bytes> pending_seal;
+  // sealed as ONE byte stream (the record layer carries a stream, not
+  // frames), so the per-record AEAD cost — two SHA-256 passes plus
+  // AES-CTR — is paid once per burst instead of once per response.
+  // `pending_seal` collects each connection's frames within this drain,
+  // in queue order; they are copied once, into the records themselves.
+  std::unordered_map<uint64_t, std::vector<Bytes>> pending_seal;
   for (Completion& completion : done) {
     auto it = connections_.find(completion.gen);
     if (it == connections_.end()) continue;  // connection closed meanwhile
@@ -820,24 +864,16 @@ void TcpServer::DrainCompletions() {
       if (completion.legacy) conn->legacy_in_flight = false;
     }
     if (conn->channel) {
-      Bytes& batch = pending_seal[completion.gen];
-      batch.insert(batch.end(), completion.frame.begin(),
-                   completion.frame.end());
+      pending_seal[completion.gen].push_back(std::move(completion.frame));
       touched.push_back(completion.gen);
       continue;
     }
     conn->out_bytes += completion.frame.size();
-    uint64_t peak = peak_output_queue_bytes_.load();
-    while (conn->out_bytes > peak &&
-           !peak_output_queue_bytes_.compare_exchange_weak(peak,
-                                                           conn->out_bytes)) {
-    }
-    PeakOutputQueueGauge()->Set(
-        static_cast<int64_t>(peak_output_queue_bytes_.load()));
     conn->out.push_back(std::move(completion.frame));
+    RecordPeakOutput(conn);
     touched.push_back(completion.gen);
   }
-  for (auto& [gen, batch] : pending_seal) {
+  for (auto& [gen, frames] : pending_seal) {
     auto it = connections_.find(gen);
     if (it == connections_.end()) continue;
     Connection* conn = it->second.get();
@@ -847,30 +883,40 @@ void TcpServer::DrainCompletions() {
     // stream, so even mid-frame split points are legal — bounding every
     // receiver's record buffer.
     constexpr size_t kSealChunk = 1u << 20;
-    bool sealed_ok = true;
-    for (size_t off = 0; off < batch.size(); off += kSealChunk) {
-      const size_t chunk_len = std::min(kSealChunk, batch.size() - off);
-      Bytes chunk(batch.begin() + static_cast<ptrdiff_t>(off),
-                  batch.begin() + static_cast<ptrdiff_t>(off + chunk_len));
-      Result<Bytes> record = conn->channel->Seal(chunk);
-      if (!record.ok()) {
+    size_t burst = 0;
+    for (const Bytes& frame : frames) burst += frame.size();
+    size_t frame_index = 0;
+    size_t frame_off = 0;
+    for (size_t off = 0; off < burst; off += kSealChunk) {
+      const size_t chunk_len = std::min(kSealChunk, burst - off);
+      Bytes record;
+      record.reserve(SecureChannel::kSealOverhead + chunk_len);
+      record.resize(SecureChannel::kRecordHeadroom);
+      for (size_t need = chunk_len; need > 0;) {
+        Bytes& frame = frames[frame_index];
+        const size_t take = std::min(need, frame.size() - frame_off);
+        record.insert(record.end(), frame.data() + frame_off,
+                      frame.data() + frame_off + take);
+        need -= take;
+        frame_off += take;
+        if (frame_off == frame.size()) {
+          Bytes().swap(frame);  // copied out whole: release it now
+          ++frame_index;
+          frame_off = 0;
+        }
+      }
+      const Status sealed = conn->channel->SealRecord(&record);
+      if (!sealed.ok()) {
         SIMCLOUD_LOG(kWarn) << "sealing a response burst failed: "
-                            << record.status().message();
+                            << sealed.message();
         CloseConnection(conn);
-        sealed_ok = false;
+        conn = nullptr;
         break;
       }
-      conn->out_bytes += record->size();
-      conn->out.push_back(std::move(*record));
+      conn->out_bytes += record.size();
+      conn->out.push_back(std::move(record));
     }
-    if (!sealed_ok) continue;
-    uint64_t peak = peak_output_queue_bytes_.load();
-    while (conn->out_bytes > peak &&
-           !peak_output_queue_bytes_.compare_exchange_weak(peak,
-                                                           conn->out_bytes)) {
-    }
-    PeakOutputQueueGauge()->Set(
-        static_cast<int64_t>(peak_output_queue_bytes_.load()));
+    if (conn != nullptr) RecordPeakOutput(conn);
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
@@ -917,35 +963,25 @@ void TcpServer::WorkerLoop() {
     const int64_t server_nanos = watch.ElapsedNanos();
 
     const uint64_t seal_start = traced ? obs::MonotonicNanos() : 0;
-    BinaryWriter body;
-    if (response.ok()) body.Reserve(response->size() + 16);
-    body.WriteU64(static_cast<uint64_t>(server_nanos));
-    body.WriteBool(response.ok());
-    if (response.ok()) {
-      body.WriteRaw(response->data(), response->size());
-    } else {
-      body.WriteString(response.status().ToString());
-    }
-    Bytes encoded = body.TakeBuffer();
-    if (encoded.size() > kMaxFrameLength) {
-      BinaryWriter error;
-      error.WriteU64(static_cast<uint64_t>(server_nanos));
-      error.WriteBool(false);
-      error.WriteString("response exceeds the 31-bit frame limit");
-      encoded = error.TakeBuffer();
-    }
-
+    // Header, status prefix and response are written once, straight into
+    // the completion frame.
     Completion completion;
     completion.gen = item.gen;
     completion.legacy = item.legacy;
+    const uint64_t nanos = static_cast<uint64_t>(server_nanos);
+    if (response.ok()) {
+      Result<Bytes> frame = EncodeResponseFrame(item.id, nanos, true,
+                                                response->data(),
+                                                response->size());
+      completion.frame =
+          frame.ok() ? std::move(*frame)
+                     : EncodeErrorFrame(item.id, nanos,
+                                        frame.status().message());
+    } else {
+      completion.frame =
+          EncodeErrorFrame(item.id, nanos, response.status().ToString());
+    }
     const size_t header_len = item.legacy ? 4 : 8;
-    completion.frame.resize(header_len + encoded.size());
-    StoreLE32(static_cast<uint32_t>(encoded.size()) |
-                  (item.legacy ? 0 : kFrameIdFlag),
-              completion.frame.data());
-    if (!item.legacy) StoreLE32(item.id, completion.frame.data() + 4);
-    std::memcpy(completion.frame.data() + header_len, encoded.data(),
-                encoded.size());
 
     if (traced) {
       // Worker-side framing cost; the secure policy's per-burst Seal on
@@ -1060,8 +1096,13 @@ Status TcpTransport::SubmitFrame(const Bytes& request, uint32_t id) {
     std::lock_guard<std::mutex> lock(write_mutex_);
     if (channel_) {
       written = [&]() -> Status {
-        SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(id, request));
-        SIMCLOUD_ASSIGN_OR_RETURN(Bytes record, channel_->Seal(frame));
+        // The frame is built inside the record buffer and sealed there:
+        // the request is copied once.
+        Bytes record;
+        record.reserve(SecureChannel::kSealOverhead + 8 + request.size());
+        record.resize(SecureChannel::kRecordHeadroom);
+        SIMCLOUD_RETURN_NOT_OK(AppendFrame(id, request, &record));
+        SIMCLOUD_RETURN_NOT_OK(channel_->SealRecord(&record));
         return WriteAll(fd_, record.data(), record.size());
       }();
     } else {
@@ -1110,83 +1151,128 @@ Status WaitReadable(int fd, const std::chrono::steady_clock::time_point* deadlin
 
 }  // namespace
 
-Result<DecodedFrame> TcpTransport::ReadSecureFrame(
-    const std::chrono::steady_clock::time_point* deadline) {
+Status TcpTransport::ParseResponseBody(const uint8_t* body, size_t len,
+                                       ReadyResponse* ready) {
+  BinaryReader reader(body, len);
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t server_nanos, reader.ReadU64());
+  SIMCLOUD_ASSIGN_OR_RETURN(bool ok, reader.ReadBool());
+  ready->server_nanos = static_cast<int64_t>(server_nanos);
+  if (ok) {
+    ready->payload = Bytes(body + reader.position(), body + len);
+  } else {
+    SIMCLOUD_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
+    ready->payload = Status::NetworkError("remote error: " + message);
+  }
+  return Status::OK();
+}
+
+Status TcpTransport::ReadSecureFrame(
+    const std::chrono::steady_clock::time_point* deadline,
+    uint32_t* request_id, ReadyResponse* ready, size_t* body_len) {
+  // Records are received straight into recv_raw_'s tail and opened in
+  // place there; only their plaintext is appended to recv_plain_, and a
+  // complete frame's payload is copied out of recv_plain_ once.
+  // recv_raw_ is used as a buffer: [recv_raw_off_, recv_raw_end_) holds
+  // received bytes not yet opened, and the rest is free space.
+  constexpr size_t kRecvChunk = 256 * 1024;
   for (;;) {
-    DecodedFrame frame;
+    const uint8_t* p = recv_plain_.data() + recv_plain_off_;
+    const size_t avail = recv_plain_.size() - recv_plain_off_;
+    uint32_t len = 0;
+    size_t header_len = 0;
     SIMCLOUD_ASSIGN_OR_RETURN(
-        bool complete,
-        TryParseFrame(recv_plain_, &recv_plain_off_, 1ull << 31, &frame));
-    if (complete) {
+        bool have_header, ParseFrameHeader(p, avail, 1ull << 31, request_id,
+                                           &len, &header_len));
+    if (have_header && avail >= header_len + len) {
+      SIMCLOUD_RETURN_NOT_OK(ParseResponseBody(p + header_len, len, ready));
+      *body_len = len;
+      recv_plain_off_ += header_len + len;
       CompactBuffer(&recv_plain_, &recv_plain_off_);
-      return frame;
+      return Status::OK();
     }
-    // Need more plaintext: pull raw bytes off the socket and run them
-    // through the record layer.
+    // Need more plaintext. Read up to the end of the record in flight
+    // when its header is here — a record that completes at the buffer's
+    // end leaves nothing to move — else a chunk, which may carry several
+    // small records.
+    if (recv_raw_off_ == recv_raw_end_) recv_raw_off_ = recv_raw_end_ = 0;
+    size_t want = kRecvChunk;
+    const size_t pending = recv_raw_end_ - recv_raw_off_;
+    if (pending >= SecureChannel::kRecordHeaderSize) {
+      // Ingest already vetted this length against max_record_bytes; the
+      // read size stays bounded so a huge declared record still only
+      // grows the buffer by bytes that actually arrive.
+      const size_t record = SecureChannel::kRecordHeaderSize +
+                            LoadLE32(recv_raw_.data() + recv_raw_off_);
+      want = std::min(record - pending, 4 * kRecvChunk);
+    }
+    if (recv_raw_.size() - recv_raw_end_ < want) {
+      if (recv_raw_off_ > 0) {
+        // Move the one partial record to the front.
+        std::memmove(recv_raw_.data(), recv_raw_.data() + recv_raw_off_,
+                     pending);
+        recv_raw_off_ = 0;
+        recv_raw_end_ = pending;
+      }
+      if (recv_raw_.size() - recv_raw_end_ < want) {
+        recv_raw_.resize(recv_raw_end_ + want);
+      }
+    }
     SIMCLOUD_RETURN_NOT_OK(WaitReadable(fd_, deadline));
-    uint8_t chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::recv(fd_, recv_raw_.data() + recv_raw_end_, want, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::NetworkError(std::string("recv failed: ") +
                                   std::strerror(errno));
     }
     if (n == 0) return Status::NetworkError("peer closed connection");
-    recv_raw_.insert(recv_raw_.end(), chunk, chunk + n);
+    recv_raw_end_ += static_cast<size_t>(n);
     size_t consumed = 0;
     SIMCLOUD_RETURN_NOT_OK(channel_->Ingest(
-        recv_raw_.data() + recv_raw_off_, recv_raw_.size() - recv_raw_off_,
+        recv_raw_.data() + recv_raw_off_, recv_raw_end_ - recv_raw_off_,
         &consumed, &recv_plain_));
     recv_raw_off_ += consumed;
-    CompactBuffer(&recv_raw_, &recv_raw_off_);
   }
 }
 
 Status TcpTransport::ReadOneResponse(
     const std::chrono::steady_clock::time_point* deadline) {
-  DecodedFrame frame;
+  uint32_t request_id = 0;
+  ReadyResponse ready;
+  size_t body_len = 0;
   if (channel_) {
-    SIMCLOUD_ASSIGN_OR_RETURN(frame, ReadSecureFrame(deadline));
+    SIMCLOUD_RETURN_NOT_OK(
+        ReadSecureFrame(deadline, &request_id, &ready, &body_len));
   } else {
     // The deadline bounds the wait for a frame to START arriving; once
     // bytes flow, the frame is read to completion (peers send frames
     // whole, so the tail follows promptly or the stream is dead anyway).
     SIMCLOUD_RETURN_NOT_OK(WaitReadable(fd_, deadline));
-    SIMCLOUD_ASSIGN_OR_RETURN(frame, ReadAnyFrame(fd_));
-  }
-  BinaryReader reader(frame.payload);
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t server_nanos, reader.ReadU64());
-  SIMCLOUD_ASSIGN_OR_RETURN(bool ok, reader.ReadBool());
-
-  ReadyResponse ready;
-  ready.server_nanos = static_cast<int64_t>(server_nanos);
-  if (ok) {
-    ready.payload =
-        Bytes(frame.payload.begin() + reader.position(), frame.payload.end());
-  } else {
-    SIMCLOUD_ASSIGN_OR_RETURN(std::string message, reader.ReadString());
-    ready.payload = Status::NetworkError("remote error: " + message);
+    SIMCLOUD_ASSIGN_OR_RETURN(DecodedFrame frame, ReadAnyFrame(fd_));
+    SIMCLOUD_RETURN_NOT_OK(ParseResponseBody(
+        frame.payload.data(), frame.payload.size(), &ready));
+    request_id = frame.request_id;
+    body_len = frame.payload.size();
   }
   {
     std::lock_guard<std::mutex> lock(costs_mutex_);
-    costs_.bytes_received += frame.payload.size();
+    costs_.bytes_received += body_len;
     costs_.server_nanos += ready.server_nanos;
   }
   std::lock_guard<std::mutex> lock(state_mutex_);
-  if (streaming_.count(frame.request_id) != 0) {
+  if (streaming_.count(request_id) != 0) {
     // Stream frame: many frames share this id, so it stays outstanding
     // and arrivals queue in order for CollectStream.
-    stream_ready_[frame.request_id].push_back(std::move(ready));
+    stream_ready_[request_id].push_back(std::move(ready));
     return Status::OK();
   }
-  if (closed_streams_.count(frame.request_id) != 0) {
+  if (closed_streams_.count(request_id) != 0) {
     return Status::OK();  // late frame for an abandoned stream: drop
   }
-  if (outstanding_.erase(frame.request_id) == 0) {
+  if (outstanding_.erase(request_id) == 0) {
     return Status::NetworkError("response for unknown request id " +
-                                std::to_string(frame.request_id));
+                                std::to_string(request_id));
   }
-  ready_.emplace(frame.request_id, std::move(ready));
+  ready_.emplace(request_id, std::move(ready));
   return Status::OK();
 }
 

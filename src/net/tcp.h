@@ -204,6 +204,8 @@ class TcpServer {
   void WakeLoop();
   void AcceptNewConnections();
   void DrainCompletions();
+  /// Raises the peak-output-queue watermark to `conn`'s queued bytes.
+  void RecordPeakOutput(const Connection* conn);
   /// Reads available bytes; false = fatal socket state, close now.
   bool ReadFromConnection(Connection* conn);
   /// Secure policy: advances the handshake and/or decrypts complete
@@ -357,11 +359,18 @@ class TcpTransport : public PipelinedTransport {
   /// the socket is polled before blocking and DeadlineExceeded is
   /// returned — without consuming anything — when it passes first.
   Status ReadOneResponse(const std::chrono::steady_clock::time_point* deadline);
-  /// Secure path of ReadOneResponse: pulls records off the socket and
-  /// decrypts until the plaintext stream yields one complete frame.
-  /// Only the elected reader touches the receive buffers.
-  Result<DecodedFrame> ReadSecureFrame(
-      const std::chrono::steady_clock::time_point* deadline);
+  /// Secure path of ReadOneResponse: receives records straight into
+  /// recv_raw_, opens them in place, and stops once the plaintext stream
+  /// yields one complete frame, whose header and status prefix are read
+  /// in place and whose payload is copied out once into `*ready`. Only
+  /// the elected reader touches the receive buffers.
+  Status ReadSecureFrame(const std::chrono::steady_clock::time_point* deadline,
+                         uint32_t* request_id, ReadyResponse* ready,
+                         size_t* body_len);
+  /// Parses a response body (u64 server_nanos, ok flag, then the payload
+  /// or the error text) into `*ready`, copying the payload once.
+  static Status ParseResponseBody(const uint8_t* body, size_t len,
+                                  ReadyResponse* ready);
   /// Records the first fatal stream failure, wakes every parked waiter,
   /// and shuts the socket down so the elected reader's recv() returns.
   void MarkBroken(const Status& reason);
@@ -369,8 +378,12 @@ class TcpTransport : public PipelinedTransport {
   int fd_;
   std::string peer_;  ///< "host:port", for failure attribution
   std::unique_ptr<SecureChannel> channel_;  ///< null = plaintext wire
-  Bytes recv_raw_;         ///< undecrypted bytes (elected reader only)
+  /// Receive buffer (elected reader only): [recv_raw_off_, recv_raw_end_)
+  /// holds received bytes not yet opened; the rest is free space that
+  /// recv() fills directly.
+  Bytes recv_raw_;
   size_t recv_raw_off_ = 0;
+  size_t recv_raw_end_ = 0;
   Bytes recv_plain_;       ///< decrypted, not yet parsed frame bytes
   size_t recv_plain_off_ = 0;
 

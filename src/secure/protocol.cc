@@ -466,26 +466,25 @@ Result<CandidateResponse> DecodeCandidateResponse(const Bytes& data) {
   return ReadCandidateBlock(&reader);
 }
 
-Bytes EncodeBatchCandidateResponse(
-    const mindex::BatchCandidates& batch,
+Bytes WriteBatchCandidateResponse(
+    const std::vector<ByteView>& payloads,
+    const std::vector<std::vector<mindex::BatchCandidateRef>>& per_query,
     const std::vector<mindex::SearchStats>& stats) {
   BinaryWriter writer;
   size_t payload_bytes = 0;
-  for (const Bytes& payload : batch.payloads) {
-    payload_bytes += payload.size() + 8;
-  }
+  for (const ByteView& payload : payloads) payload_bytes += payload.size + 8;
   size_t ref_count = 0;
-  for (const auto& refs : batch.per_query) ref_count += refs.size();
-  writer.Reserve(payload_bytes + 24 * ref_count +
-                 64 * batch.per_query.size() + 32);
+  for (const auto& refs : per_query) ref_count += refs.size();
+  writer.Reserve(payload_bytes + 24 * ref_count + 64 * per_query.size() +
+                 32);
 
-  writer.WriteVarint(batch.payloads.size());
-  for (const Bytes& payload : batch.payloads) writer.WriteBytes(payload);
-  writer.WriteVarint(batch.per_query.size());
-  for (size_t q = 0; q < batch.per_query.size(); ++q) {
+  writer.WriteVarint(payloads.size());
+  for (const ByteView& payload : payloads) writer.WriteBytes(payload);
+  writer.WriteVarint(per_query.size());
+  for (size_t q = 0; q < per_query.size(); ++q) {
     WriteSearchStats(&writer, stats[q]);
-    writer.WriteVarint(batch.per_query[q].size());
-    for (const mindex::BatchCandidateRef& ref : batch.per_query[q]) {
+    writer.WriteVarint(per_query[q].size());
+    for (const mindex::BatchCandidateRef& ref : per_query[q]) {
       writer.WriteVarint(ref.id);
       writer.WriteDouble(ref.score);
       writer.WriteVarint(ref.payload_index);
@@ -494,23 +493,33 @@ Bytes EncodeBatchCandidateResponse(
   return writer.TakeBuffer();
 }
 
-Result<BatchCandidateResponse> DecodeBatchCandidateResponse(
-    const Bytes& data) {
+Bytes EncodeBatchCandidateResponse(
+    const mindex::BatchCandidates& batch,
+    const std::vector<mindex::SearchStats>& stats) {
+  std::vector<ByteView> payloads;
+  payloads.reserve(batch.payloads.size());
+  for (const Bytes& payload : batch.payloads) {
+    payloads.push_back(ByteView{payload.data(), payload.size()});
+  }
+  return WriteBatchCandidateResponse(payloads, batch.per_query, stats);
+}
+
+Result<BatchCandidateView> ParseBatchCandidateResponse(const Bytes& data) {
   BinaryReader reader(data);
-  BatchCandidateResponse response;
+  BatchCandidateView view;
   SIMCLOUD_ASSIGN_OR_RETURN(uint64_t payload_count, reader.ReadVarint());
-  response.batch.payloads.reserve(reader.BoundedCount(payload_count));
+  view.payloads.reserve(reader.BoundedCount(payload_count));
   for (uint64_t i = 0; i < payload_count; ++i) {
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes payload, reader.ReadBytes());
-    response.batch.payloads.push_back(std::move(payload));
+    SIMCLOUD_ASSIGN_OR_RETURN(ByteView payload, reader.ReadBytesView());
+    view.payloads.push_back(payload);
   }
   SIMCLOUD_ASSIGN_OR_RETURN(uint64_t query_count, reader.ReadVarint());
-  response.batch.per_query.reserve(reader.BoundedCount(query_count));
-  response.stats.reserve(reader.BoundedCount(query_count));
+  view.per_query.reserve(reader.BoundedCount(query_count));
+  view.stats.reserve(reader.BoundedCount(query_count));
   for (uint64_t q = 0; q < query_count; ++q) {
     SIMCLOUD_ASSIGN_OR_RETURN(mindex::SearchStats stats,
                               ReadSearchStats(&reader));
-    response.stats.push_back(stats);
+    view.stats.push_back(stats);
     SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
     std::vector<mindex::BatchCandidateRef> refs;
     refs.reserve(reader.BoundedCount(count));
@@ -519,15 +528,30 @@ Result<BatchCandidateResponse> DecodeBatchCandidateResponse(
       SIMCLOUD_ASSIGN_OR_RETURN(ref.id, reader.ReadVarint());
       SIMCLOUD_ASSIGN_OR_RETURN(ref.score, reader.ReadDouble());
       SIMCLOUD_ASSIGN_OR_RETURN(uint64_t index, reader.ReadVarint());
-      if (index >= response.batch.payloads.size()) {
+      if (index >= view.payloads.size()) {
         return Status::Corruption("batch candidate payload index " +
                                   std::to_string(index) + " out of range");
       }
       ref.payload_index = static_cast<uint32_t>(index);
       refs.push_back(ref);
     }
-    response.batch.per_query.push_back(std::move(refs));
+    view.per_query.push_back(std::move(refs));
   }
+  return view;
+}
+
+Result<BatchCandidateResponse> DecodeBatchCandidateResponse(
+    const Bytes& data) {
+  SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateView view,
+                            ParseBatchCandidateResponse(data));
+  BatchCandidateResponse response;
+  response.batch.payloads.reserve(view.payloads.size());
+  for (const ByteView& payload : view.payloads) {
+    response.batch.payloads.emplace_back(payload.data,
+                                         payload.data + payload.size);
+  }
+  response.batch.per_query = std::move(view.per_query);
+  response.stats = std::move(view.stats);
   return response;
 }
 

@@ -230,6 +230,29 @@ struct BatchCandidateResponse {
 };
 Result<BatchCandidateResponse> DecodeBatchCandidateResponse(const Bytes& data);
 
+/// A batched candidate response parsed without copying its payloads:
+/// each dictionary entry is a view into the parsed buffer, which must
+/// outlive this struct; refs and stats are decoded. This is the one
+/// parser of the batch format — DecodeBatchCandidateResponse copies the
+/// views out, and the sharded facade merges shard responses straight
+/// from them.
+struct BatchCandidateView {
+  std::vector<ByteView> payloads;
+  std::vector<std::vector<mindex::BatchCandidateRef>> per_query;
+  std::vector<mindex::SearchStats> stats;
+};
+/// Corruption on truncated input or a payload index past the dictionary.
+Result<BatchCandidateView> ParseBatchCandidateResponse(const Bytes& data);
+
+/// The one writer of the batch format: the dictionary `payloads` (views
+/// into buffers the caller keeps alive), then per query its stats and
+/// ranked refs. Each payload byte is copied once, into the result.
+/// EncodeBatchCandidateResponse is this writer over owned payloads.
+Bytes WriteBatchCandidateResponse(
+    const std::vector<ByteView>& payloads,
+    const std::vector<std::vector<mindex::BatchCandidateRef>>& per_query,
+    const std::vector<mindex::SearchStats>& stats);
+
 /// Insert acknowledgement.
 Bytes EncodeInsertResponse(uint64_t inserted);
 Result<uint64_t> DecodeInsertResponse(const Bytes& data);

@@ -399,45 +399,42 @@ Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
                                          const std::vector<size_t>& limits) {
   std::vector<Result<Bytes>> responses = CallAllShards(request);
 
-  std::vector<BatchCandidateResponse> decoded;
-  decoded.reserve(responses.size());
+  // Each shard response is parsed once, in place: its payloads stay in
+  // the response buffer as views until the survivors are written out.
+  std::vector<BatchCandidateView> parsed;
+  parsed.reserve(responses.size());
   for (const auto& response : responses) {
     SIMCLOUD_RETURN_NOT_OK(response.status());
-    SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse batch,
-                              DecodeBatchCandidateResponse(*response));
-    if (batch.query_count() != limits.size()) {
+    SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateView view,
+                              ParseBatchCandidateResponse(*response));
+    if (view.per_query.size() != limits.size()) {
       return Status::Internal("shard answered " +
-                              std::to_string(batch.query_count()) + " of " +
+                              std::to_string(view.per_query.size()) + " of " +
                               std::to_string(limits.size()) +
                               " batched queries");
     }
-    decoded.push_back(std::move(batch));
+    parsed.push_back(std::move(view));
   }
 
   // Shard dictionaries are disjoint (an object lives on exactly one
   // shard), so the combined dictionary is their concatenation; per-shard
   // payload indices shift by the shard's offset.
-  size_t total_payloads = 0;
-  std::vector<uint32_t> shard_offset(decoded.size());
-  for (size_t s = 0; s < decoded.size(); ++s) {
-    shard_offset[s] = static_cast<uint32_t>(total_payloads);
-    total_payloads += decoded[s].batch.payloads.size();
-  }
-  std::vector<Bytes*> flat(total_payloads);
-  for (size_t s = 0; s < decoded.size(); ++s) {
-    for (size_t i = 0; i < decoded[s].batch.payloads.size(); ++i) {
-      flat[shard_offset[s] + i] = &decoded[s].batch.payloads[i];
-    }
+  std::vector<ByteView> flat;
+  std::vector<uint32_t> shard_offset(parsed.size());
+  for (size_t s = 0; s < parsed.size(); ++s) {
+    shard_offset[s] = static_cast<uint32_t>(flat.size());
+    flat.insert(flat.end(), parsed[s].payloads.begin(),
+                parsed[s].payloads.end());
   }
 
-  mindex::BatchCandidates merged;
-  merged.per_query.resize(limits.size());
+  std::vector<std::vector<mindex::BatchCandidateRef>> per_query(
+      limits.size());
   std::vector<mindex::SearchStats> stats(limits.size());
   for (size_t q = 0; q < limits.size(); ++q) {
-    std::vector<mindex::BatchCandidateRef>& refs = merged.per_query[q];
-    for (size_t s = 0; s < decoded.size(); ++s) {
-      stats[q].Add(decoded[s].stats[q]);
-      for (const auto& ref : decoded[s].batch.per_query[q]) {
+    std::vector<mindex::BatchCandidateRef>& refs = per_query[q];
+    for (size_t s = 0; s < parsed.size(); ++s) {
+      stats[q].Add(parsed[s].stats[q]);
+      for (const auto& ref : parsed[s].per_query[q]) {
         refs.push_back(mindex::BatchCandidateRef{
             ref.id, ref.score, ref.payload_index + shard_offset[s]});
       }
@@ -451,20 +448,22 @@ Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
     stats[q].candidates = refs.size();
   }
 
-  // Compact the dictionary to payloads that survived trimming.
+  // Compact the dictionary to payloads that survived trimming, in first-
+  // reference order; they are copied once, from the shard buffers
+  // straight into the response.
   constexpr uint32_t kUnmapped = ~0u;
-  std::vector<uint32_t> remap(total_payloads, kUnmapped);
-  for (auto& refs : merged.per_query) {
+  std::vector<uint32_t> remap(flat.size(), kUnmapped);
+  std::vector<ByteView> survivors;
+  for (auto& refs : per_query) {
     for (auto& ref : refs) {
       if (remap[ref.payload_index] == kUnmapped) {
-        remap[ref.payload_index] =
-            static_cast<uint32_t>(merged.payloads.size());
-        merged.payloads.push_back(std::move(*flat[ref.payload_index]));
+        remap[ref.payload_index] = static_cast<uint32_t>(survivors.size());
+        survivors.push_back(flat[ref.payload_index]);
       }
       ref.payload_index = remap[ref.payload_index];
     }
   }
-  return EncodeBatchCandidateResponse(merged, stats);
+  return WriteBatchCandidateResponse(survivors, per_query, stats);
 }
 
 Result<Bytes> ShardedServer::Handle(const Bytes& request_bytes) {

@@ -222,6 +222,23 @@ TEST(SerializeTest, TruncatedStringIsCorruption) {
   EXPECT_FALSE(r.ReadString().ok());
 }
 
+TEST(SerializeTest, LengthNearTwoToThe64IsCorruption) {
+  // The bounds check must compare against what is left: as pos + n, a
+  // length near 2^64 would wrap and pass.
+  BinaryWriter writer;
+  writer.WriteU8(0);
+  writer.WriteVarint(~uint64_t{0} - 2);
+  writer.WriteRaw(Bytes(16, 7).data(), 16);
+  const Bytes data = writer.TakeBuffer();
+  BinaryReader view_reader(data);
+  ASSERT_TRUE(view_reader.ReadU8().ok());
+  EXPECT_EQ(view_reader.ReadBytesView().status().code(),
+            StatusCode::kCorruption);
+  BinaryReader bytes_reader(data);
+  ASSERT_TRUE(bytes_reader.ReadU8().ok());
+  EXPECT_EQ(bytes_reader.ReadBytes().status().code(), StatusCode::kCorruption);
+}
+
 TEST(SerializeTest, OverlongVarintIsCorruption) {
   Bytes bad(11, 0xFF);  // 11 continuation bytes: > 64 bits
   BinaryReader r(bad);

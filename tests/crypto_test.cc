@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "crypto/aead.h"
@@ -518,6 +521,75 @@ TEST(AeadTest, RejectsBadMasterKeySizes) {
   EXPECT_TRUE(AeadCipher::Create(Bytes(24, 0)).ok());
 }
 
+// The in-place core and the copying wrappers are one implementation:
+// whatever one side seals, the other opens, on lengths across several
+// 8-block CTR groups, partial tails and records larger than 64 KiB.
+TEST(AeadTest, InPlaceCoreInteroperatesWithSealAndOpen) {
+  auto aead = AeadCipher::Create(Bytes(32, 0x0C));
+  ASSERT_TRUE(aead.ok());
+  Rng rng(0x1A9);
+  const Bytes ad = {'r', 'e', 'c', 0, 7};
+  std::vector<size_t> lengths = {0, 1, 15, 16, 17, 127, 128, 129, 70000};
+  for (int i = 0; i < 24; ++i) lengths.push_back(rng.NextBounded(70001));
+  for (const size_t len : lengths) {
+    Bytes plaintext(len);
+    for (auto& b : plaintext) b = static_cast<uint8_t>(rng.NextU64());
+
+    // Seal -> OpenInPlace.
+    auto sealed = aead->Seal(plaintext, ad);
+    ASSERT_TRUE(sealed.ok());
+    Bytes buffer = *sealed;
+    ASSERT_TRUE(
+        aead->OpenInPlace(buffer.data(), buffer.size(), ad.data(), ad.size())
+            .ok())
+        << "len " << len;
+    EXPECT_EQ(Bytes(buffer.begin() + AeadCipher::kIvSize,
+                    buffer.end() - AeadCipher::kTagSize),
+              plaintext)
+        << "len " << len;
+
+    // SealInPlace -> Open. The headroom and tag room start as junk.
+    Bytes in_place(AeadCipher::SealedSize(len), 0xEE);
+    std::copy(plaintext.begin(), plaintext.end(),
+              in_place.begin() + AeadCipher::kIvSize);
+    ASSERT_TRUE(
+        aead->SealInPlace(in_place.data(), len, ad.data(), ad.size()).ok());
+    if (len >= 16) {
+      EXPECT_NE(Bytes(in_place.begin() + AeadCipher::kIvSize,
+                      in_place.begin() + AeadCipher::kIvSize + 16),
+                Bytes(plaintext.begin(), plaintext.begin() + 16))
+          << "SealInPlace left the plaintext unencrypted, len " << len;
+    }
+    auto opened = aead->Open(in_place, ad);
+    ASSERT_TRUE(opened.ok()) << "len " << len;
+    EXPECT_EQ(*opened, plaintext) << "len " << len;
+  }
+}
+
+TEST(AeadTest, OpenInPlaceRejectsTamperingWithoutDecrypting) {
+  auto aead = AeadCipher::Create(Bytes(16, 0x0D));
+  ASSERT_TRUE(aead.ok());
+  const Bytes plaintext(300, 0x3C);
+  auto sealed = aead->Seal(plaintext);
+  ASSERT_TRUE(sealed.ok());
+  // One position in each class: IV, body, tag.
+  for (const size_t pos :
+       {size_t{3}, AeadCipher::kIvSize + 150, sealed->size() - 5}) {
+    Bytes tampered = *sealed;
+    tampered[pos] ^= 0x01;
+    Bytes buffer = tampered;
+    const Status opened =
+        aead->OpenInPlace(buffer.data(), buffer.size(), nullptr, 0);
+    EXPECT_EQ(opened.code(), StatusCode::kCorruption) << "byte " << pos;
+    // The tag is checked before any byte is decrypted: a rejected buffer
+    // still holds exactly the ciphertext it came in with.
+    EXPECT_EQ(buffer, tampered) << "byte " << pos;
+  }
+  Bytes tiny(AeadCipher::kIvSize + AeadCipher::kTagSize - 1, 0);
+  EXPECT_EQ(aead->OpenInPlace(tiny.data(), tiny.size(), nullptr, 0).code(),
+            StatusCode::kCorruption);
+}
+
 // ------------------------------------------- hardware kernel cross-checks
 //
 // The AES-NI / SHA-NI kernels must be bit-identical to the vector-tested
@@ -578,6 +650,26 @@ TEST(KernelTest, AesNiCtrCounterCarryPropagates) {
   AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(), input.data(),
               hw_out.data(), len);
   EXPECT_EQ(scalar_out, hw_out);
+
+  // The full 64-bit wrap (0xFF..FF -> 0, never carrying into byte 7)
+  // landing on each lane of an 8-block group, and in the tail loop.
+  for (int lane = 0; lane < 8 + 3; ++lane) {
+    Bytes wrap_iv = RandomBytes(rng, 16);
+    for (int i = 8; i < 16; ++i) wrap_iv[i] = 0xFF;
+    // Block `before` holds the all-ones counter, so the wrapped (zero)
+    // counter is block 8 + lane: lane `lane` of the second group, or a
+    // tail block for lane >= 8.
+    const int before = 7 + lane;
+    wrap_iv[15] = static_cast<uint8_t>(0xFF - before);
+    const size_t wrap_len = 16 * 16 + 16 * 3 + 5;  // 2 groups + tail
+    const Bytes wrap_in = RandomBytes(rng, wrap_len);
+    Bytes want(wrap_len), got(wrap_len);
+    ScalarAesCtrXor(*aes, wrap_iv.data(), wrap_in.data(), want.data(),
+                    wrap_len);
+    AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), wrap_iv.data(),
+                wrap_in.data(), got.data(), wrap_len);
+    EXPECT_EQ(want, got) << "wrap after block " << before;
+  }
 }
 
 TEST(KernelTest, AesNiCbcMatchesScalarOnRandomInputs) {

@@ -14,11 +14,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "crypto/hkdf.h"
 #include "net/secure_channel.h"
@@ -387,6 +389,43 @@ TEST_F(SecureRecordTest, OversizedRecordLengthIsRejected) {
       server_->Ingest(bogus.data(), bogus.size(), &consumed, &plain).ok());
 }
 
+TEST_F(SecureRecordTest, BurstWithTamperedMiddleRecordStopsThere) {
+  // Three records arrive in one read; the middle one is tampered. One
+  // Ingest releases exactly the first record's plaintext, nothing of the
+  // second (which stays undecrypted in the buffer), and fails for good.
+  const Bytes first(700, 0x11);
+  const Bytes second(900, 0x22);
+  const Bytes third(50, 0x33);
+  auto a = client_->Seal(first);
+  auto b = client_->Seal(second);
+  auto c = client_->Seal(third);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  Bytes wire = *a;
+  wire.insert(wire.end(), b->begin(), b->end());
+  wire.insert(wire.end(), c->begin(), c->end());
+  wire[a->size() + SecureChannel::kRecordHeadroom + 400] ^= 0x04;
+  const Bytes tampered_record(wire.begin() + a->size(),
+                              wire.begin() + a->size() + b->size());
+
+  Bytes plain;
+  size_t consumed = 0;
+  const Status burst = server_->Ingest(wire.data(), wire.size(), &consumed,
+                                       &plain);
+  EXPECT_EQ(burst.code(), StatusCode::kNetworkError);
+  EXPECT_EQ(plain, first);
+  EXPECT_EQ(consumed, a->size());
+  EXPECT_EQ(Bytes(wire.begin() + a->size(),
+                  wire.begin() + a->size() + b->size()),
+            tampered_record);
+  EXPECT_EQ(server_->records_opened(), 1u);
+
+  // Sticky: the untouched third record is refused, and appends nothing.
+  Bytes later = *c;
+  EXPECT_FALSE(
+      server_->Ingest(later.data(), later.size(), &consumed, &plain).ok());
+  EXPECT_EQ(plain, first);
+}
+
 TEST(SecureRekeyTest, EpochsAdvanceDeterministically) {
   SecureChannelOptions options = TestOptions();
   options.rekey_after_records = 4;  // tiny budget: rekey every 4 records
@@ -514,6 +553,80 @@ TEST(SecureTcpTest, LargeMessagesCrossRekeyBoundaries) {
                                << response.status().ToString();
     EXPECT_EQ(*response, request);
   }
+  server.Stop();
+}
+
+TEST(SecureTcpTest, ResponsesAroundRecordBoundariesRoundTripExactly) {
+  // The server seals each burst into records of at most 1 MiB, cutting
+  // frames wherever the chunk ends. Response bodies on both sides of
+  // that boundary (a pipelined response frame is the body plus 17 bytes
+  // of header and status prefix) and far past it, then a pipelined
+  // burst of small ones, must all come back byte-exact while both
+  // directions rekey every few records.
+  constexpr size_t kChunk = 1u << 20;
+  constexpr size_t kFrameOverhead = 8 + 9;
+  EchoHandler handler;
+  TcpServerOptions server_options = SecureServerOptions();
+  server_options.secure_channel.rekey_after_records = 3;
+  TcpServer server(&handler, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+  SecureChannelOptions client_options = TestOptions();
+  client_options.rekey_after_records = 3;
+  auto transport = TcpTransport::Connect(
+      "127.0.0.1", server.port(), ChannelPolicy::kSecure, client_options);
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+
+  Rng rng(0xB0B);
+  auto random_bytes = [&rng](size_t n) {
+    Bytes out(n);
+    for (auto& b : out) b = static_cast<uint8_t>(rng.NextU64());
+    return out;
+  };
+  for (const size_t size :
+       {size_t{0}, size_t{1}, kChunk - kFrameOverhead - 1,
+        kChunk - kFrameOverhead, kChunk - kFrameOverhead + 1, kChunk - 1,
+        kChunk, kChunk + 1, 5 * kChunk}) {
+    const Bytes request = random_bytes(size);
+    auto ticket = (*transport)->Submit(request);
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    auto response = (*transport)->Collect(*ticket);
+    ASSERT_TRUE(response.ok()) << size << ": "
+                               << response.status().ToString();
+    EXPECT_TRUE(*response == request) << "response of " << size
+                                      << " bytes differs";
+  }
+
+  // A small response queued ahead of a large one: one read takes the
+  // small record and the start of the large one's first record, whose
+  // rest must land behind the bytes already buffered.
+  for (int round = 0; round < 4; ++round) {
+    const Bytes small = random_bytes(100);
+    const Bytes large = random_bytes(3 * kChunk);
+    auto small_ticket = (*transport)->Submit(small);
+    auto large_ticket = (*transport)->Submit(large);
+    ASSERT_TRUE(small_ticket.ok() && large_ticket.ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    auto small_response = (*transport)->Collect(*small_ticket);
+    auto large_response = (*transport)->Collect(*large_ticket);
+    ASSERT_TRUE(small_response.ok() && large_response.ok());
+    EXPECT_EQ(*small_response, small) << "round " << round;
+    EXPECT_TRUE(*large_response == large) << "round " << round;
+  }
+
+  std::vector<Bytes> requests;
+  std::vector<uint64_t> tickets;
+  for (int i = 0; i < 64; ++i) {
+    requests.push_back(random_bytes(1 + rng.NextBounded(300)));
+    auto ticket = (*transport)->Submit(requests.back());
+    ASSERT_TRUE(ticket.ok());
+    tickets.push_back(*ticket);
+  }
+  for (int i = 0; i < 64; ++i) {
+    auto response = (*transport)->Collect(tickets[i]);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(*response, requests[i]) << "pipelined response " << i;
+  }
+  EXPECT_EQ(handler.handled(), 9 + 8 + 64);
   server.Stop();
 }
 

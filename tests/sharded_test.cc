@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
+#include "mindex/permutation.h"
 #include "net/tcp.h"
 #include "secure/client.h"
 #include "secure/server.h"
@@ -383,6 +384,249 @@ TEST(ShardedServerTest, RemoteShardsOverSecureChannels) {
 
 /// Echoes after a short sleep, so a Stop() can race in-flight and
 /// queued tickets deterministically.
+/// The merge FanOutBatch performed before it spliced shard payloads:
+/// decode every shard response into owned payloads, merge and trim the
+/// refs by score, compact the dictionary in first-reference order, and
+/// re-encode. Kept here as the reference the splicing merge must match
+/// byte for byte.
+Bytes DecodeMergeEncodeReference(const std::vector<Bytes>& shard_responses,
+                                 const std::vector<size_t>& limits) {
+  std::vector<BatchCandidateResponse> decoded;
+  for (const Bytes& response : shard_responses) {
+    auto batch = DecodeBatchCandidateResponse(response);
+    EXPECT_TRUE(batch.ok());
+    decoded.push_back(std::move(*batch));
+  }
+  std::vector<const Bytes*> flat;
+  std::vector<uint32_t> offset;
+  for (const auto& shard : decoded) {
+    offset.push_back(static_cast<uint32_t>(flat.size()));
+    for (const Bytes& payload : shard.batch.payloads) flat.push_back(&payload);
+  }
+  mindex::BatchCandidates merged;
+  merged.per_query.resize(limits.size());
+  std::vector<mindex::SearchStats> stats(limits.size());
+  for (size_t q = 0; q < limits.size(); ++q) {
+    auto& refs = merged.per_query[q];
+    for (size_t s = 0; s < decoded.size(); ++s) {
+      stats[q].Add(decoded[s].stats[q]);
+      for (auto ref : decoded[s].batch.per_query[q]) {
+        ref.payload_index += offset[s];
+        refs.push_back(ref);
+      }
+    }
+    std::stable_sort(refs.begin(), refs.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.score < b.score;
+                     });
+    if (limits[q] > 0 && refs.size() > limits[q]) refs.resize(limits[q]);
+    stats[q].candidates = refs.size();
+  }
+  std::vector<uint32_t> remap(flat.size(), ~0u);
+  for (auto& refs : merged.per_query) {
+    for (auto& ref : refs) {
+      if (remap[ref.payload_index] == ~0u) {
+        remap[ref.payload_index] =
+            static_cast<uint32_t>(merged.payloads.size());
+        merged.payloads.push_back(*flat[ref.payload_index]);
+      }
+      ref.payload_index = remap[ref.payload_index];
+    }
+  }
+  return EncodeBatchCandidateResponse(merged, stats);
+}
+
+struct RemoteShards {
+  std::vector<std::unique_ptr<EncryptedMIndexServer>> handlers;
+  std::vector<std::unique_ptr<net::TcpServer>> servers;
+  std::vector<ShardEndpoint> endpoints;
+};
+
+TEST(ShardedServerTest, FanOutBatchSplicesTheReferenceMergeByteForByte) {
+  mindex::MIndexOptions index_options;
+  index_options.num_pivots = 10;
+  index_options.bucket_capacity = 40;
+  index_options.max_level = 4;
+  RemoteShards shards;
+  for (size_t i = 0; i < 3; ++i) {
+    auto handler = EncryptedMIndexServer::Create(index_options);
+    ASSERT_TRUE(handler.ok());
+    shards.handlers.push_back(std::move(*handler));
+    shards.servers.push_back(
+        std::make_unique<net::TcpServer>(shards.handlers.back().get()));
+    ASSERT_TRUE(shards.servers.back()->Start(0).ok());
+    shards.endpoints.push_back(
+        ShardEndpoint{"127.0.0.1", shards.servers.back()->port()});
+  }
+  auto facade =
+      ShardedServer::Connect(shards.endpoints, index_options.num_pivots);
+  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+
+  data::MixtureOptions mixture;
+  mixture.num_objects = 600;
+  mixture.dimension = 8;
+  mixture.num_clusters = 5;
+  mixture.seed = 611;
+  metric::Dataset dataset("splice", data::MakeGaussianMixture(mixture),
+                          std::make_shared<metric::L2Distance>());
+  auto pivots = mindex::PivotSet::SelectRandom(dataset.objects(), 10, 612);
+  ASSERT_TRUE(pivots.ok());
+  auto key = SecretKey::Create(std::move(pivots).value(), Bytes(16, 0x53));
+  ASSERT_TRUE(key.ok());
+  net::LoopbackTransport transport(facade->get());
+  EncryptionClient client(*key, dataset.distance(), &transport);
+  ASSERT_TRUE(
+      client.InsertBulk(dataset.objects(), InsertStrategy::kPrecise, 100)
+          .ok());
+
+  // Trimmed and whole-cell (limit 0) queries; the repeats share their
+  // payloads across queries, so the dictionary dedups across the batch.
+  Rng rng(613);
+  std::vector<mindex::KnnQuery> queries;
+  std::vector<size_t> limits;
+  for (int i = 0; i < 6; ++i) {
+    std::vector<float> distances(10);
+    for (float& d : distances) d = static_cast<float>(rng.NextUniform(0, 5));
+    mindex::KnnQuery query;
+    query.signature.permutation = mindex::DistancesToPermutation(distances);
+    query.signature.whole_cells = i % 3 == 2;
+    query.cand_size = 10 + 25 * i;
+    queries.push_back(query);
+  }
+  queries.push_back(queries[0]);
+  queries.back().cand_size = 40;
+  queries.push_back(queries[2]);
+  for (const auto& query : queries) {
+    limits.push_back(query.signature.whole_cells ? 0 : query.cand_size);
+  }
+  const Bytes request = EncodeApproxKnnBatchRequest(queries);
+
+  std::vector<Bytes> shard_responses;
+  for (auto& handler : shards.handlers) {
+    auto response = handler->Handle(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    shard_responses.push_back(std::move(*response));
+  }
+  const Bytes reference = DecodeMergeEncodeReference(shard_responses, limits);
+  auto spliced = (*facade)->Handle(request);
+  ASSERT_TRUE(spliced.ok()) << spliced.status().ToString();
+  EXPECT_TRUE(*spliced == reference)
+      << "spliced merge (" << spliced->size() << " B) differs from the "
+      << "decode-merge-encode reference (" << reference.size() << " B)";
+
+  // The batch really exercised trimming, whole cells and sharing.
+  auto decoded = DecodeBatchCandidateResponse(*spliced);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->batch.per_query[0].size(), 10u);
+  EXPECT_GT(decoded->batch.per_query[2].size(), 0u);
+  size_t refs = 0;
+  for (const auto& per_query : decoded->batch.per_query) {
+    refs += per_query.size();
+  }
+  EXPECT_LT(decoded->batch.payloads.size(), refs);
+
+  // Range batches (limit 0 for every query) take the same path.
+  std::vector<mindex::RangeQuery> ranges;
+  for (int i = 0; i < 4; ++i) {
+    mindex::RangeQuery range;
+    range.pivot_distances.resize(10);
+    for (float& d : range.pivot_distances) {
+      d = static_cast<float>(rng.NextUniform(0, 5));
+    }
+    range.radius = 2.5;
+    ranges.push_back(range);
+  }
+  const Bytes range_request = EncodeRangeSearchBatchRequest(ranges);
+  shard_responses.clear();
+  for (auto& handler : shards.handlers) {
+    auto response = handler->Handle(range_request);
+    ASSERT_TRUE(response.ok());
+    shard_responses.push_back(std::move(*response));
+  }
+  auto range_spliced = (*facade)->Handle(range_request);
+  ASSERT_TRUE(range_spliced.ok());
+  EXPECT_TRUE(*range_spliced ==
+              DecodeMergeEncodeReference(shard_responses,
+                                         std::vector<size_t>(4, 0)));
+
+  facade->reset();
+  for (auto& server : shards.servers) server->Stop();
+}
+
+/// A shard that answers every batch query with fixed bytes (and pings
+/// with the empty ack the topology monitor expects).
+class CannedShard : public net::RequestHandler {
+ public:
+  explicit CannedShard(Bytes response) : response_(std::move(response)) {}
+  Result<Bytes> Handle(const Bytes& request) override {
+    if (!request.empty() && request[0] == static_cast<uint8_t>(Op::kPing)) {
+      return Bytes{};
+    }
+    return response_;
+  }
+
+ private:
+  Bytes response_;
+};
+
+TEST(ShardedServerTest, MalformedShardBatchResponsesAreCorruption) {
+  auto empty_stats = [](BinaryWriter* writer) {
+    for (int i = 0; i < 5; ++i) writer->WriteVarint(0);
+  };
+  std::vector<std::pair<std::string, Bytes>> cases;
+  {
+    // One payload, but the ref points at index 1.
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    writer.WriteBytes(Bytes{1, 2, 3});
+    writer.WriteVarint(1);
+    empty_stats(&writer);
+    writer.WriteVarint(1);
+    writer.WriteVarint(7);
+    writer.WriteDouble(0.5);
+    writer.WriteVarint(1);
+    cases.emplace_back("payload index out of range", writer.TakeBuffer());
+  }
+  {
+    // The payload declares 1000 bytes; 10 follow.
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    writer.WriteVarint(1000);
+    writer.WriteRaw(Bytes(10, 9).data(), 10);
+    cases.emplace_back("truncated payload", writer.TakeBuffer());
+  }
+  {
+    // A length near 2^64 must not wrap the bounds check.
+    BinaryWriter writer;
+    writer.WriteVarint(1);
+    writer.WriteVarint(~uint64_t{0} - 2);
+    writer.WriteRaw(Bytes(16, 9).data(), 16);
+    cases.emplace_back("wrapping payload length", writer.TakeBuffer());
+  }
+
+  for (const auto& [name, bytes] : cases) {
+    // The client-side decoder and the facade's splicing merge share
+    // the one parser; both must refuse the response.
+    EXPECT_EQ(DecodeBatchCandidateResponse(bytes).status().code(),
+              StatusCode::kCorruption)
+        << name;
+    CannedShard shard(bytes);
+    net::TcpServer server(&shard);
+    ASSERT_TRUE(server.Start(0).ok());
+    auto facade = ShardedServer::Connect(
+        {ShardEndpoint{"127.0.0.1", server.port()}}, /*num_pivots=*/10);
+    ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+    mindex::KnnQuery query;
+    query.signature.permutation = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    query.cand_size = 5;
+    auto merged = (*facade)->Handle(EncodeApproxKnnBatchRequest({query}));
+    EXPECT_EQ(merged.status().code(), StatusCode::kCorruption)
+        << name << ": " << merged.status().ToString();
+    facade->reset();
+    server.Stop();
+  }
+}
+
 class SlowEchoHandler : public net::RequestHandler {
  public:
   Result<Bytes> Handle(const Bytes& request) override {
