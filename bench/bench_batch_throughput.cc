@@ -1,5 +1,5 @@
-// Batched query engine throughput: single-query opcodes vs. the batch
-// opcodes at batch sizes {1, 8, 64}, on memory storage and on the
+// Batched query engine throughput at batch sizes {1, 8, 64} (a single
+// query travels as a batch of one), on memory storage and on the
 // CoPhIR-style disk configuration with and without the payload cache.
 //
 // The batched path saves per-request overhead at every layer — one
@@ -53,9 +53,9 @@ std::vector<metric::VectorObject> MakeQueries(const DatasetConfig& config,
   return queries;
 }
 
-/// Chunks the query set into pre-encoded requests (one single-query
-/// request per query for batch_size 1, one batch request per chunk
-/// otherwise) so the measured loop below times raw Handle() calls only —
+/// Chunks the query set into pre-encoded batch requests of `batch_size`
+/// queries (a batch of one each for batch_size 1) so the measured loop
+/// below times raw Handle() calls only —
 /// the server throughput the batch engine exists to raise (client
 /// refinement runs on the many clients of the cloud, not on the server).
 std::vector<Bytes> EncodeServerRequests(
@@ -64,13 +64,8 @@ std::vector<Bytes> EncodeServerRequests(
   size_t done = 0;
   while (done < queries.size()) {
     const size_t n = std::min(batch_size, queries.size() - done);
-    if (n == 1) {
-      requests.push_back(secure::EncodeApproxKnnRequest(
-          queries[done].signature, queries[done].cand_size));
-    } else {
-      requests.push_back(secure::EncodeApproxKnnBatchRequest(
-          {queries.begin() + done, queries.begin() + done + n}));
-    }
+    requests.push_back(secure::EncodeApproxKnnBatchRequest(
+        {queries.begin() + done, queries.begin() + done + n}));
     done += n;
   }
   return requests;
@@ -99,15 +94,10 @@ double MeasureClientQps(SecureStack& stack,
   size_t done = 0;
   while (done < queries.size()) {
     const size_t n = std::min(batch_size, queries.size() - done);
-    if (n == 1) {
-      auto result = stack.client->ApproxKnn(queries[done], k, cand_size);
-      if (!result.ok()) std::abort();
-    } else {
-      const std::vector<metric::VectorObject> batch(
-          queries.begin() + done, queries.begin() + done + n);
-      auto result = stack.client->ApproxKnnBatch(batch, k, cand_size);
-      if (!result.ok()) std::abort();
-    }
+    const std::vector<metric::VectorObject> batch(
+        queries.begin() + done, queries.begin() + done + n);
+    auto result = stack.client->ApproxKnnBatch(batch, k, cand_size);
+    if (!result.ok()) std::abort();
     done += n;
   }
   const double seconds = watch.ElapsedNanos() / 1e9;

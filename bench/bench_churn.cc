@@ -237,8 +237,8 @@ void Run(bool smoke) {
     mindex::QuerySignature signature;
     signature.pivot_distances = items[pick].pivot_distances;
     signature.permutation = permutations[pick];
-    const Bytes request =
-        secure::EncodeApproxKnnRequest(signature, cand_size);
+    const Bytes request = secure::EncodeApproxKnnBatchRequest(
+        {mindex::KnnQuery{signature, cand_size}});
     identical = MustHandle(compacting, request, "verify single") ==
                 MustHandle(append_only, request, "verify single");
   }

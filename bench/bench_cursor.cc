@@ -1,15 +1,17 @@
 // Cursor memory gate: a range query whose result set is ~1M candidates
 // must stream through a server-side cursor in O(page) memory, while the
-// one-shot kRangeSearch path pays O(result) — and the two must agree
-// byte for byte. Three gates (the run aborts when violated):
+// one-shot path (a kRangeSearchBatch of one) pays O(result) — and the
+// two must agree byte for byte. Three gates (the run aborts when
+// violated):
 //
 //   * the paged drain returns AT LEAST the advertised 1M candidates;
 //   * peak RSS growth of the paged drain stays a small fraction of the
 //     one-shot growth (the cursor snapshots ranked (id, score, handle)
 //     entries, never the payload bytes — pages materialize payloads
 //     O(page) at a time);
-//   * concatenating every page and re-encoding it with the open page's
-//     stats reproduces the one-shot kRangeSearch response EXACTLY.
+//   * the concatenation of every page equals the one-shot answer
+//     EXACTLY: every candidate's id, score and payload bytes, in order,
+//     and the open page's stats equal the one-shot stats.
 //
 // The drain phases run in a deliberate order: VmHWM is monotonic, so
 // the paged phase (small growth) runs FIRST against the post-build
@@ -160,11 +162,12 @@ void Run(bool smoke) {
   const size_t hwm_paged = VmHwmKb();
   const size_t paged_delta_kb = hwm_paged - hwm_build;
 
-  // Phase 2 — one-shot kRangeSearch: the whole result set is
+  // Phase 2 — one-shot range search: the whole result set is
   // materialized (payloads included) and encoded in one response.
   Stopwatch oneshot;
   auto oneshot_bytes = handler->get()->Handle(
-      secure::EncodeRangeSearchRequest(query, kWideRadius));
+      secure::EncodeRangeSearchBatchRequest(
+          {mindex::RangeQuery{query, kWideRadius}}));
   if (!oneshot_bytes.ok()) {
     std::fprintf(stderr, "one-shot range search failed: %s\n",
                  oneshot_bytes.status().ToString().c_str());
@@ -175,13 +178,32 @@ void Run(bool smoke) {
   const size_t oneshot_delta_kb = hwm_oneshot - hwm_paged;
 
   // Phase 3 — identity: a second drain, this time keeping everything,
-  // re-encoded with the open page's stats, must equal phase 2's bytes.
+  // must equal phase 2's answer, read in place from its response bytes.
   mindex::CandidateList concat;
   DrainResult kept = DrainCursor(handler->get(), query, &concat);
-  mindex::SearchStats stats = kept.open_stats;
-  stats.candidates = kept.advertised_total;
-  const Bytes paged_encoded = secure::EncodeCandidateResponse(concat, stats);
-  const bool identical = paged_encoded == *oneshot_bytes;
+  auto oneshot_view = secure::ParseBatchCandidateResponse(*oneshot_bytes);
+  bool identical = oneshot_view.ok() && oneshot_view->per_query.size() == 1;
+  if (identical) {
+    const std::vector<mindex::BatchCandidateRef>& refs =
+        oneshot_view->per_query[0];
+    const mindex::SearchStats& expected = oneshot_view->stats[0];
+    const mindex::SearchStats& got = kept.open_stats;
+    identical = refs.size() == concat.size() &&
+                got.cells_visited == expected.cells_visited &&
+                got.cells_pruned == expected.cells_pruned &&
+                got.entries_scanned == expected.entries_scanned &&
+                got.entries_filtered == expected.entries_filtered &&
+                got.candidates == expected.candidates &&
+                kept.advertised_total == expected.candidates;
+    for (size_t i = 0; identical && i < refs.size(); ++i) {
+      const ByteView payload = oneshot_view->payloads[refs[i].payload_index];
+      identical = concat[i].id == refs[i].id &&
+                  concat[i].score == refs[i].score &&
+                  concat[i].payload.size() == payload.size &&
+                  std::memcmp(concat[i].payload.data(), payload.data,
+                              payload.size) == 0;
+    }
+  }
 
   std::printf("bench_cursor: %zu objects built in %.1fs\n", num_objects,
               build_seconds);
@@ -210,9 +232,9 @@ void Run(bool smoke) {
     failed = true;
   }
   if (!identical) {
-    std::fprintf(stderr, "FAIL: paged concatenation (%zu bytes) diverges "
-                         "from the one-shot response (%zu bytes)\n",
-                 paged_encoded.size(), oneshot_bytes->size());
+    std::fprintf(stderr, "FAIL: paged concatenation (%zu candidates) "
+                         "diverges from the one-shot response (%zu bytes)\n",
+                 concat.size(), oneshot_bytes->size());
     failed = true;
   }
   if (failed) std::exit(1);

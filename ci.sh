@@ -113,14 +113,14 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" --timeout 300
 
 echo "=== channel-policy sweep: churn + failover + watch soaks in secure mode ==="
 # These soaks run twice: the tier-1 pass above uses the plaintext wire
-# (byte-identical to the original protocol); this pass flips them to
+# (unencrypted frames); this pass flips them to
 # ChannelPolicy::kSecure (PSK handshake + AEAD records on every
 # connection, aggressive rekey budgets — failover_test's post-kill
 # reconnects redo the full handshake, watch_test streams every push
 # frame through sealed records). cursor_test joins the sweep so paged
 # retrieval proves byte-identity with every page crossing an AEAD
 # record boundary. The other transport suites
-# need no toggle: net_test pins the plaintext wire byte-stable, while
+# need no toggle: net_test pins the plaintext frame bytes, while
 # secure_channel_test / SecureTcpFrameFuzz / the secure remote-shard
 # test cover the secure policy intrinsically.
 SIMCLOUD_CHANNEL_POLICY=secure \

@@ -48,8 +48,7 @@
 // ## Downgrade protection
 //
 // A secure server hard-closes any connection whose first bytes are not
-// the handshake magic, so plaintext and legacy (bit-31) clients are
-// rejected outright. The magic is chosen so that a *plaintext* server
+// the handshake magic, so plaintext clients are rejected outright. The magic is chosen so that a *plaintext* server
 // parsing it as a frame header sees a declared length beyond its 1 GiB
 // default limit and closes the connection, which surfaces as a clean
 // handshake failure at the secure client instead of a hang.
@@ -78,11 +77,11 @@ namespace net {
 
 /// How a listener / transport treats the wire.
 enum class ChannelPolicy : uint8_t {
-  /// The original protocol, byte-identical on the wire; the network is
-  /// trusted (loopback deployments, the paper's evaluation setup).
+  /// Frames travel unencrypted; the network is trusted (loopback
+  /// deployments, the paper's evaluation setup).
   kPlaintext = 0,
-  /// PSK handshake + AEAD records on every connection; plaintext and
-  /// legacy peers are rejected.
+  /// PSK handshake + AEAD records on every connection; plaintext peers
+  /// are rejected.
   kSecure = 1,
 };
 
@@ -244,8 +243,8 @@ class ServerHandshake {
   /// Consumes complete handshake messages from data[0..len), returning
   /// how many bytes were eaten (partial messages wait for more input).
   /// The ServerHello reply, when produced, is appended to `*to_send`.
-  /// Errors — bytes that are not a handshake (a plaintext or legacy
-  /// client: downgrade attempt), a bad version, a wrong finish tag —
+  /// Errors — bytes that are not a handshake (a plaintext client:
+  /// downgrade attempt), a bad version, a wrong finish tag —
   /// must close the connection.
   Result<size_t> Consume(const uint8_t* data, size_t len, Bytes* to_send);
 

@@ -104,8 +104,10 @@ void StoreLE32(uint32_t v, uint8_t* p) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-/// Appends one frame (legacy when request_id is 0) — header, then
-/// `payload` — to `*out`.
+/// Frame header: u32 length with kFrameIdFlag set, then the u32 id.
+constexpr size_t kFrameHeaderLen = 8;
+
+/// Appends one frame — header, then `payload` — to `*out`.
 Status AppendFrame(uint32_t request_id, const Bytes& payload, Bytes* out) {
   if (payload.size() > kMaxFrameLength) {
     return Status::InvalidArgument("frame body of " +
@@ -113,21 +115,12 @@ Status AppendFrame(uint32_t request_id, const Bytes& payload, Bytes* out) {
                                    " bytes exceeds the 31-bit frame limit");
   }
   const size_t header_at = out->size();
-  out->resize(header_at + (request_id != 0 ? 8 : 4));
-  StoreLE32(static_cast<uint32_t>(payload.size()) |
-                (request_id != 0 ? kFrameIdFlag : 0),
+  out->resize(header_at + kFrameHeaderLen);
+  StoreLE32(static_cast<uint32_t>(payload.size()) | kFrameIdFlag,
             out->data() + header_at);
-  if (request_id != 0) StoreLE32(request_id, out->data() + header_at + 4);
+  StoreLE32(request_id, out->data() + header_at + 4);
   out->insert(out->end(), payload.begin(), payload.end());
   return Status::OK();
-}
-
-Status WriteFrameInternal(int fd, uint32_t request_id, const Bytes& payload) {
-  // One contiguous buffer so a frame usually leaves in a single send.
-  Bytes frame;
-  frame.reserve(8 + payload.size());
-  SIMCLOUD_RETURN_NOT_OK(AppendFrame(request_id, payload, &frame));
-  return WriteAll(fd, frame.data(), frame.size());
 }
 
 /// Response bodies start with u64 server_nanos and a one-byte ok flag.
@@ -144,18 +137,16 @@ Result<Bytes> EncodeResponseFrame(uint32_t request_id, uint64_t server_nanos,
   if (frame_len > kMaxFrameLength) {
     return Status::InvalidArgument("response exceeds the 31-bit frame limit");
   }
-  const size_t header_len = request_id != 0 ? 8 : 4;
   Bytes frame;
-  frame.reserve(header_len + frame_len);
-  frame.resize(header_len + kResponsePrefix);
-  StoreLE32(static_cast<uint32_t>(frame_len) |
-                (request_id != 0 ? kFrameIdFlag : 0),
-            frame.data());
-  if (request_id != 0) StoreLE32(request_id, frame.data() + 4);
+  frame.reserve(kFrameHeaderLen + frame_len);
+  frame.resize(kFrameHeaderLen + kResponsePrefix);
+  StoreLE32(static_cast<uint32_t>(frame_len) | kFrameIdFlag, frame.data());
+  StoreLE32(request_id, frame.data() + 4);
   for (int i = 0; i < 8; ++i) {
-    frame[header_len + i] = static_cast<uint8_t>(server_nanos >> (8 * i));
+    frame[kFrameHeaderLen + i] =
+        static_cast<uint8_t>(server_nanos >> (8 * i));
   }
-  frame[header_len + 8] = ok ? 1 : 0;
+  frame[kFrameHeaderLen + 8] = ok ? 1 : 0;
   frame.insert(frame.end(), body, body + body_len);
   return frame;
 }
@@ -172,28 +163,26 @@ Bytes EncodeErrorFrame(uint32_t request_id, uint64_t server_nanos,
                           "error text exceeds the 31-bit frame limit");
 }
 
-/// Reads a frame header in place from p[0..avail): fills the request id,
-/// body length and header length. Returns false when more bytes are
-/// needed, an error on protocol violations.
+/// Reads a frame header in place from p[0..avail): fills the request id
+/// and body length. Returns false when more bytes are needed, an error on
+/// protocol violations (no id flag, a body past `max_len`, id 0), which
+/// are decided as soon as the bytes that show them have arrived.
 Result<bool> ParseFrameHeader(const uint8_t* p, size_t avail, size_t max_len,
-                              uint32_t* request_id, uint32_t* len,
-                              size_t* header_len) {
+                              uint32_t* request_id, uint32_t* len) {
   if (avail < 4) return false;
   const uint32_t raw = LoadLE32(p);
-  const bool pipelined = (raw & kFrameIdFlag) != 0;
+  if ((raw & kFrameIdFlag) == 0) {
+    return Status::NetworkError("frame header without the request-id flag");
+  }
   *len = raw & ~kFrameIdFlag;
-  *header_len = pipelined ? 8 : 4;
   if (*len > max_len) {
     return Status::NetworkError("frame length " + std::to_string(*len) +
                                 " exceeds limit");
   }
-  if (avail < *header_len) return false;
-  *request_id = 0;
-  if (pipelined) {
-    *request_id = LoadLE32(p + 4);
-    if (*request_id == 0) {
-      return Status::NetworkError("pipelined frame with request id 0");
-    }
+  if (avail < kFrameHeaderLen) return false;
+  *request_id = LoadLE32(p + 4);
+  if (*request_id == 0) {
+    return Status::NetworkError("frame with request id 0");
   }
   return true;
 }
@@ -223,46 +212,28 @@ Status SetNonBlocking(int fd) {
 
 }  // namespace
 
-Status WriteFrame(int fd, const Bytes& payload) {
-  return WriteFrameInternal(fd, 0, payload);
-}
-
-Status WritePipelinedFrame(int fd, uint32_t request_id, const Bytes& payload) {
+Status WriteFrame(int fd, uint32_t request_id, const Bytes& payload) {
   if (request_id == 0) {
-    return Status::InvalidArgument("pipelined frames need a nonzero id");
+    return Status::InvalidArgument("frames need a nonzero request id");
   }
-  return WriteFrameInternal(fd, request_id, payload);
+  // One contiguous buffer so a frame usually leaves in a single send.
+  Bytes frame;
+  frame.reserve(kFrameHeaderLen + payload.size());
+  SIMCLOUD_RETURN_NOT_OK(AppendFrame(request_id, payload, &frame));
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
-Result<DecodedFrame> ReadAnyFrame(int fd, size_t max_len) {
-  uint8_t header[4];
-  SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, header, sizeof(header)));
-  const uint32_t raw = LoadLE32(header);
+Result<DecodedFrame> ReadFrame(int fd, size_t max_len) {
+  uint8_t header[kFrameHeaderLen];
+  SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, header, kFrameHeaderLen));
   DecodedFrame frame;
-  const uint32_t len = raw & ~kFrameIdFlag;
-  if ((raw & kFrameIdFlag) != 0) {
-    uint8_t id_bytes[4];
-    SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, id_bytes, sizeof(id_bytes)));
-    frame.request_id = LoadLE32(id_bytes);
-    if (frame.request_id == 0) {
-      return Status::NetworkError("pipelined frame with request id 0");
-    }
-  }
-  if (len > max_len) {
-    return Status::NetworkError("frame length " + std::to_string(len) +
-                                " exceeds limit");
-  }
+  uint32_t len = 0;
+  SIMCLOUD_RETURN_NOT_OK(ParseFrameHeader(header, kFrameHeaderLen, max_len,
+                                          &frame.request_id, &len)
+                             .status());
   frame.payload.resize(len);
   SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, frame.payload.data(), len));
   return frame;
-}
-
-Result<Bytes> ReadFrame(int fd, size_t max_len) {
-  SIMCLOUD_ASSIGN_OR_RETURN(DecodedFrame frame, ReadAnyFrame(fd, max_len));
-  if (frame.request_id != 0) {
-    return Status::NetworkError("unexpected pipelined frame");
-  }
-  return std::move(frame.payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -422,27 +393,18 @@ class TcpServer::ConnPushSink : public PushSink {
 class TcpServer::ConnStreamContext : public StreamContext {
  public:
   ConnStreamContext(std::shared_ptr<ConnShared> shared, uint32_t id,
-                    uint64_t gen, bool legacy, obs::TraceSpan* span)
-      : shared_(std::move(shared)),
-        id_(id),
-        gen_(gen),
-        legacy_(legacy),
-        span_(span) {}
-  /// Null on a legacy connection: the bit-31-clear framing has no request
-  /// id to push on, so stream-registering opcodes must fail cleanly.
+                    uint64_t gen, obs::TraceSpan* span)
+      : shared_(std::move(shared)), id_(id), gen_(gen), span_(span) {}
   std::shared_ptr<PushSink> MakeSink() override {
-    if (legacy_ || shared_ == nullptr) return nullptr;
     return std::make_shared<ConnPushSink>(shared_, id_);
   }
   uint64_t connection_id() const override { return gen_; }
-  bool pipelined() const override { return !legacy_; }
   obs::TraceSpan* trace() const override { return span_; }
 
  private:
   std::shared_ptr<ConnShared> shared_;
   const uint32_t id_;
   const uint64_t gen_;
-  const bool legacy_;
   obs::TraceSpan* const span_;
 };
 
@@ -620,7 +582,7 @@ bool TcpServer::DecryptIncoming(Connection* conn) {
         conn->raw.data() + conn->raw_off, conn->raw.size() - conn->raw_off,
         &reply);
     if (!advanced.ok()) {
-      // Downgrade attempt (plaintext/legacy client), wrong PSK, or a
+      // Downgrade attempt (plaintext client), wrong PSK, or a
       // malformed handshake: hard-close without answering.
       SIMCLOUD_LOG(kWarn) << "secure handshake rejected: "
                           << advanced.status().message();
@@ -655,39 +617,26 @@ bool TcpServer::DecryptIncoming(Connection* conn) {
 
 bool TcpServer::ParseFrames(Connection* conn) {
   for (;;) {
-    // Legacy (id 0) requests keep the old serve-loop contract: nothing
-    // else from this connection runs concurrently, and their responses
-    // go out in request order.
-    if (conn->legacy_in_flight) break;
     const size_t avail = conn->in.size() - conn->in_off;
-    if (avail < 4) break;
     const uint8_t* p = conn->in.data() + conn->in_off;
-    const uint32_t raw = LoadLE32(p);
-    const bool pipelined = (raw & kFrameIdFlag) != 0;
-    const uint32_t len = raw & ~kFrameIdFlag;
-    const size_t header_len = pipelined ? 8 : 4;
-    if (len > options_.max_frame_bytes) return false;  // protocol violation
     uint32_t id = 0;
-    if (pipelined) {
-      if (avail < 8) break;
-      id = LoadLE32(p + 4);
-      if (id == 0) return false;  // flagged frame must carry a real id
-    }
-    if (avail < header_len + len) break;  // frame still arriving
-    if (pipelined && conn->in_flight >= options_.max_in_flight) break;
-    if (!pipelined && conn->in_flight > 0) break;
+    uint32_t len = 0;
+    Result<bool> header =
+        ParseFrameHeader(p, avail, options_.max_frame_bytes, &id, &len);
+    if (!header.ok()) return false;  // protocol violation: close
+    if (!*header) break;
+    if (avail < kFrameHeaderLen + len) break;  // frame still arriving
+    if (conn->in_flight >= options_.max_in_flight) break;
     if (conn->out_bytes >= options_.max_output_queue_bytes) break;
 
     WorkItem item;
     item.gen = conn->gen;
     item.id = id;
-    item.legacy = !pipelined;
-    if (pipelined) item.shared = conn->shared;  // legacy cannot push
-    item.body.assign(p + header_len, p + header_len + len);
+    item.shared = conn->shared;
+    item.body.assign(p + kFrameHeaderLen, p + kFrameHeaderLen + len);
     if (obs::TracingActive()) item.enqueue_nanos = obs::MonotonicNanos();
-    conn->in_off += header_len + len;
+    conn->in_off += kFrameHeaderLen + len;
     conn->in_flight++;
-    if (!pipelined) conn->legacy_in_flight = true;
     frames_dispatched_.fetch_add(1);
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
@@ -786,7 +735,7 @@ bool TcpServer::UpdateConnection(Connection* conn) {
   const bool backpressured =
       conn->in_flight >= options_.max_in_flight ||
       conn->out_bytes >= options_.max_output_queue_bytes;
-  if (!conn->read_eof && !backpressured && !conn->legacy_in_flight) {
+  if (!conn->read_eof && !backpressured) {
     want |= EPOLLIN;
   }
   if (!conn->out.empty()) want |= EPOLLOUT;
@@ -861,7 +810,6 @@ void TcpServer::DrainCompletions() {
       conn->shared->pending_push_bytes.fetch_sub(completion.frame.size());
     } else {
       conn->in_flight--;
-      if (completion.legacy) conn->legacy_in_flight = false;
     }
     if (conn->channel) {
       pending_seal[completion.gen].push_back(std::move(completion.frame));
@@ -951,11 +899,7 @@ void TcpServer::WorkerLoop() {
 
     Stopwatch watch;
     Result<Bytes> response = [&]() -> Result<Bytes> {
-      // Legacy frames get a context too (it carries the connection
-      // identity for cursor reaping), but one whose sink is null and
-      // whose pipelined() is false — stream/cursor opcodes fail cleanly
-      // while the connection stays usable.
-      ConnStreamContext stream(item.shared, item.id, item.gen, item.legacy,
+      ConnStreamContext stream(item.shared, item.id, item.gen,
                                traced ? &span : nullptr);
       obs::TraceSpan::Scope scope(traced ? &span : nullptr);
       return handler_->HandleStream(item.body, &stream);
@@ -967,7 +911,6 @@ void TcpServer::WorkerLoop() {
     // the completion frame.
     Completion completion;
     completion.gen = item.gen;
-    completion.legacy = item.legacy;
     const uint64_t nanos = static_cast<uint64_t>(server_nanos);
     if (response.ok()) {
       Result<Bytes> frame = EncodeResponseFrame(item.id, nanos, true,
@@ -981,7 +924,6 @@ void TcpServer::WorkerLoop() {
       completion.frame =
           EncodeErrorFrame(item.id, nanos, response.status().ToString());
     }
-    const size_t header_len = item.legacy ? 4 : 8;
 
     if (traced) {
       // Worker-side framing cost; the secure policy's per-burst Seal on
@@ -990,7 +932,7 @@ void TcpServer::WorkerLoop() {
       span.AddStageNanos(obs::Stage::kSealSend,
                          obs::MonotonicNanos() - seal_start);
       obs::FinishRequestSpan(span, static_cast<uint64_t>(server_nanos),
-                             header_len + item.body.size(),
+                             kFrameHeaderLen + item.body.size(),
                              completion.frame.size());
     }
 
@@ -1106,7 +1048,7 @@ Status TcpTransport::SubmitFrame(const Bytes& request, uint32_t id) {
         return WriteAll(fd_, record.data(), record.size());
       }();
     } else {
-      written = WriteFrameInternal(fd_, id, request);
+      written = WriteFrame(fd_, id, request);
     }
   }
   if (!written.ok()) {
@@ -1179,14 +1121,14 @@ Status TcpTransport::ReadSecureFrame(
     const uint8_t* p = recv_plain_.data() + recv_plain_off_;
     const size_t avail = recv_plain_.size() - recv_plain_off_;
     uint32_t len = 0;
-    size_t header_len = 0;
     SIMCLOUD_ASSIGN_OR_RETURN(
-        bool have_header, ParseFrameHeader(p, avail, 1ull << 31, request_id,
-                                           &len, &header_len));
-    if (have_header && avail >= header_len + len) {
-      SIMCLOUD_RETURN_NOT_OK(ParseResponseBody(p + header_len, len, ready));
+        bool have_header,
+        ParseFrameHeader(p, avail, kMaxFrameLength, request_id, &len));
+    if (have_header && avail >= kFrameHeaderLen + len) {
+      SIMCLOUD_RETURN_NOT_OK(
+          ParseResponseBody(p + kFrameHeaderLen, len, ready));
       *body_len = len;
-      recv_plain_off_ += header_len + len;
+      recv_plain_off_ += kFrameHeaderLen + len;
       CompactBuffer(&recv_plain_, &recv_plain_off_);
       return Status::OK();
     }
@@ -1247,7 +1189,7 @@ Status TcpTransport::ReadOneResponse(
     // bytes flow, the frame is read to completion (peers send frames
     // whole, so the tail follows promptly or the stream is dead anyway).
     SIMCLOUD_RETURN_NOT_OK(WaitReadable(fd_, deadline));
-    SIMCLOUD_ASSIGN_OR_RETURN(DecodedFrame frame, ReadAnyFrame(fd_));
+    SIMCLOUD_ASSIGN_OR_RETURN(DecodedFrame frame, ReadFrame(fd_));
     SIMCLOUD_RETURN_NOT_OK(ParseResponseBody(
         frame.payload.data(), frame.payload.size(), &ready));
     request_id = frame.request_id;
@@ -1328,14 +1270,20 @@ Result<TcpTransport::ReadyResponse> TcpTransport::AwaitResponse(
   }
 }
 
+uint32_t TcpTransport::NextId() {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  const uint32_t id = next_id_;
+  next_id_ = next_id_ == 0xFFFFFFFFu ? 1 : next_id_ + 1;
+  return id;
+}
+
 Result<Bytes> TcpTransport::Call(const Bytes& request) {
-  // Legacy framing (request id 0): byte-identical on the wire to the
-  // pre-pipelining protocol. One synchronous Call at a time; pipelined
-  // Submit/Collect traffic may interleave freely around it.
-  std::lock_guard<std::mutex> call_lock(call_mutex_);
+  // A Submit collected at once, so its wall time minus the server's
+  // reported time is this request's communication time.
   Stopwatch watch;
-  SIMCLOUD_RETURN_NOT_OK(SubmitFrame(request, 0));
-  SIMCLOUD_ASSIGN_OR_RETURN(ReadyResponse response, AwaitResponse(0));
+  const uint32_t id = NextId();
+  SIMCLOUD_RETURN_NOT_OK(SubmitFrame(request, id));
+  SIMCLOUD_ASSIGN_OR_RETURN(ReadyResponse response, AwaitResponse(id));
   const int64_t wall_nanos = watch.ElapsedNanos();
   {
     std::lock_guard<std::mutex> lock(costs_mutex_);
@@ -1346,12 +1294,7 @@ Result<Bytes> TcpTransport::Call(const Bytes& request) {
 }
 
 Result<uint64_t> TcpTransport::Submit(const Bytes& request) {
-  uint32_t id;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    id = next_id_;
-    next_id_ = next_id_ == 0xFFFFFFFFu ? 1 : next_id_ + 1;
-  }
+  const uint32_t id = NextId();
   SIMCLOUD_RETURN_NOT_OK(SubmitFrame(request, id));
   return static_cast<uint64_t>(id);
 }
@@ -1368,12 +1311,7 @@ Result<Bytes> TcpTransport::Collect(uint64_t ticket) {
 }
 
 Result<uint64_t> TcpTransport::SubmitStream(const Bytes& request) {
-  uint32_t id;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    id = next_id_;
-    next_id_ = next_id_ == 0xFFFFFFFFu ? 1 : next_id_ + 1;
-  }
+  const uint32_t id = NextId();
   {
     // Registered BEFORE the frame is written (like outstanding_ in
     // SubmitFrame): a push racing the registration would otherwise be an

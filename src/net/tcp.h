@@ -13,16 +13,15 @@
 // threading contract.
 //
 // Wire format per frame (little-endian):
-//   u32 header  — bit 31 set: pipelined frame; bits 0..30: body length
-//   u32 id      — request id (present only when bit 31 is set; never 0)
+//   u32 header  — bit 31 always set; bits 0..30: body length
+//   u32 id      — request id, never 0
 //   body        — request / response bytes
-// A header with bit 31 clear is a LEGACY frame (request id 0): exactly
-// the pre-pipelining wire format, so old single-request clients work
-// unchanged. Responses echo the request's id (legacy requests get legacy
-// responses, in request order). Response bodies additionally carry the
-// server's processing time (u64 nanos) and an ok flag before the payload
-// so the client can split wall time into server vs. communication
-// components, as the paper's tables require.
+// A header with bit 31 clear is a protocol violation: the server closes
+// the connection before dispatching anything on it. Responses echo the
+// request's id. Response bodies additionally carry the server's
+// processing time (u64 nanos) and an ok flag before the payload so the
+// client can split wall time into server vs. communication components,
+// as the paper's tables require.
 
 #ifndef SIMCLOUD_NET_TCP_H_
 #define SIMCLOUD_NET_TCP_H_
@@ -49,14 +48,14 @@
 namespace simcloud {
 namespace net {
 
-/// Frame-header bit marking a pipelined frame (request id follows).
+/// Frame-header bit every frame carries (the request id follows).
 inline constexpr uint32_t kFrameIdFlag = 0x80000000u;
 /// Largest body length the 31-bit frame header can express.
 inline constexpr uint32_t kMaxFrameLength = 0x7FFFFFFFu;
 
-/// One frame of either framing, as read off a socket.
+/// One frame as read off a socket.
 struct DecodedFrame {
-  uint32_t request_id = 0;  ///< 0 for legacy frames
+  uint32_t request_id = 0;  ///< never 0
   Bytes payload;
 };
 
@@ -76,15 +75,13 @@ struct TcpServerOptions {
   /// their responses, so peak queued bytes can transiently exceed this
   /// by the in-flight responses.
   size_t max_output_queue_bytes = 8u << 20;
-  /// Pipelined requests of one connection being handled concurrently;
-  /// further frames wait in the input buffer. Legacy (id 0) requests are
-  /// never concurrent with anything on their connection, preserving the
-  /// old serve-loop semantics.
+  /// Requests of one connection being handled concurrently; further
+  /// frames wait in the input buffer.
   size_t max_in_flight = 64;
   /// kSecure: every accepted connection must complete the PSK handshake
   /// (driven on the event loop, never blocking other connections) and
-  /// speak AEAD records; plaintext/legacy clients are hard-closed.
-  /// kPlaintext (default): the original wire format, byte-identical.
+  /// speak AEAD records; plaintext clients are hard-closed.
+  /// kPlaintext (default): frames travel unencrypted.
   ChannelPolicy channel_policy = ChannelPolicy::kPlaintext;
   /// PSK + rekey budgets when channel_policy is kSecure (psk required).
   SecureChannelOptions secure_channel;
@@ -175,7 +172,6 @@ class TcpServer {
     size_t out_off = 0;        ///< progress within out.front()
     size_t out_bytes = 0;      ///< total unsent bytes across `out`
     uint32_t in_flight = 0;    ///< requests dispatched, response not queued
-    bool legacy_in_flight = false;  ///< an id-0 request is being handled
     bool read_eof = false;     ///< peer half-closed its write side
     uint32_t interest = 0;     ///< current epoll event mask
     uint64_t accept_nanos = 0;  ///< monotonic accept time (handshake latency)
@@ -184,7 +180,6 @@ class TcpServer {
   struct WorkItem {
     uint64_t gen = 0;
     uint32_t id = 0;
-    bool legacy = false;
     Bytes body;
     std::shared_ptr<ConnShared> shared;  ///< for minting push sinks
     uint64_t enqueue_nanos = 0;  ///< parse time; 0 when tracing is off
@@ -192,7 +187,6 @@ class TcpServer {
 
   struct Completion {
     uint64_t gen = 0;
-    bool legacy = false;
     /// Server-push frame (change streams): not a response to any
     /// dispatched request, so it must not decrement in_flight.
     bool push = false;
@@ -261,15 +255,15 @@ class TcpServer {
   std::atomic<uint64_t> handshakes_completed_{0};
 };
 
-/// TCP client transport. Call() speaks the legacy (request id 0) framing
-/// — byte-identical to the pre-pipelining protocol — while Submit() /
-/// Collect() pipeline many flagged frames over the same connection.
-/// Submit/Collect are safe for concurrent use from multiple threads
-/// (ShardedServer fans out over shared persistent connections); Call()
-/// additionally serializes against itself. Measured wall time minus the
+/// TCP client transport. Submit() / Collect() pipeline many requests over
+/// one connection, each under its own id; Call() is a Submit collected at
+/// once. It is no ordering barrier: the server may run a Call before
+/// requests Submitted earlier and not yet collected. All of them are safe
+/// for concurrent use from multiple threads (ShardedServer fans out over
+/// shared persistent connections). Measured wall time minus the
 /// server-reported processing time is attributed to communication for
-/// synchronous Call()s; pipelined requests overlap, so only their bytes
-/// and server time are accounted.
+/// Call()s; Submit/Collect round trips overlap, so only their bytes and
+/// server time are accounted.
 class TcpTransport : public PipelinedTransport {
  public:
   /// Connects to `host`:`port`. With ChannelPolicy::kSecure the PSK
@@ -345,8 +339,10 @@ class TcpTransport : public PipelinedTransport {
 
   TcpTransport(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
 
-  /// Frames (legacy when id == 0) and writes one request — sealed into
-  /// a record first on a secure channel.
+  /// Issues the next request id (never 0; wraps past 2^32 - 1).
+  uint32_t NextId();
+  /// Frames and writes one request — sealed into a record first on a
+  /// secure channel.
   Status SubmitFrame(const Bytes& request, uint32_t id);
   /// Waits until the response for `id` is ready, reading frames off the
   /// socket whenever no other thread is already reading. A null
@@ -407,20 +403,14 @@ class TcpTransport : public PipelinedTransport {
   std::unordered_set<uint32_t> closed_streams_;
 
   std::mutex costs_mutex_;
-  std::mutex call_mutex_;  ///< one synchronous Call at a time
   TransportCosts costs_;
 };
 
-/// Writes one legacy (request id 0) length-prefixed frame to `fd`.
-Status WriteFrame(int fd, const Bytes& payload);
-/// Writes one pipelined frame (`request_id` must be nonzero).
-Status WritePipelinedFrame(int fd, uint32_t request_id, const Bytes& payload);
-/// Reads one legacy frame from `fd` (up to `max_len` bytes); a pipelined
-/// frame in the stream is a NetworkError.
-Result<Bytes> ReadFrame(int fd, size_t max_len = 1ull << 31);
-
-/// Reads one frame (legacy or pipelined) from `fd`.
-Result<DecodedFrame> ReadAnyFrame(int fd, size_t max_len = 1ull << 31);
+/// Writes one frame (`request_id` must be nonzero) to a blocking `fd`.
+Status WriteFrame(int fd, uint32_t request_id, const Bytes& payload);
+/// Reads one frame from a blocking `fd` (body up to `max_len` bytes); a
+/// header without the id flag, or with id 0, is a NetworkError.
+Result<DecodedFrame> ReadFrame(int fd, size_t max_len = 1ull << 31);
 
 }  // namespace net
 }  // namespace simcloud

@@ -48,9 +48,8 @@ class PushSink {
 
 /// Per-request streaming context a transport hands to HandleStream. Today
 /// it only mints push sinks; a null context (or a null sink) means the
-/// transport cannot push on this request — a legacy framed connection or
-/// an in-process loopback call — and stream-registering opcodes must fail
-/// cleanly instead.
+/// transport cannot push on this request — an in-process loopback call —
+/// and stream-registering opcodes must fail cleanly instead.
 class StreamContext {
  public:
   virtual ~StreamContext() = default;
@@ -61,10 +60,6 @@ class StreamContext {
   /// server state (cursors, watches) reaped via OnConnectionClosed. 0 =
   /// no identity (in-process call); such state is TTL-reaped only.
   virtual uint64_t connection_id() const { return 0; }
-  /// Whether the request arrived on the pipelined framing. Legacy
-  /// (bit-31-clear) connections cannot interleave many in-flight
-  /// requests, so stateful opcodes (cursors) reject them cleanly.
-  virtual bool pipelined() const { return true; }
   /// The request's trace span (stage timings, distance accounting), or
   /// null when the transport does not trace (loopback, tracing off).
   /// Handlers annotate it (shard, batch size); the transport finishes it.
@@ -79,7 +74,7 @@ class RequestHandler {
   /// Handles one request; errors become transport-level failures.
   virtual Result<Bytes> Handle(const Bytes& request) = 0;
   /// Handles one request that may register a push stream. `stream` is
-  /// null when the transport cannot push (legacy framing, loopback);
+  /// null when the transport cannot push (loopback);
   /// the default ignores it, so non-streaming handlers need no change.
   virtual Result<Bytes> HandleStream(const Bytes& request,
                                      StreamContext* stream) {

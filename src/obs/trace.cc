@@ -29,14 +29,11 @@ const char* StageName(Stage stage) {
 }
 
 const char* OpcodeLabel(uint8_t opcode) {
-  // Mirrors secure::Op; net/ cannot include the protocol header, so the
-  // label table lives here and protocol_test pins the two in sync.
+  // Mirrors secure::Op (2, 3 and 5 are retired and label as op2/op3/op5);
+  // net/ cannot include the protocol header, so the table lives here.
   switch (opcode) {
     case 1: return "insert_batch";
-    case 2: return "range_search";
-    case 3: return "approx_knn";
     case 4: return "get_stats";
-    case 5: return "delete";
     case 6: return "range_search_batch";
     case 7: return "approx_knn_batch";
     case 8: return "delete_batch";

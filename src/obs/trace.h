@@ -47,7 +47,7 @@ enum class Stage : uint8_t {
 inline constexpr size_t kStageCount = 5;
 const char* StageName(Stage stage);
 
-/// Stable label of a wire opcode ("ping", "range_search", ...); unknown
+/// Stable label of a wire opcode ("ping", "range_search_batch", ...); unknown
 /// opcodes render as "op<N>". Lives here, not in secure/, because net/
 /// must not depend on the protocol layer.
 const char* OpcodeLabel(uint8_t opcode);

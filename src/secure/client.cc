@@ -44,84 +44,74 @@ Status EncryptionClient::Insert(const VectorObject& object,
   return InsertBulk({object}, strategy, 1);
 }
 
+template <typename Op>
+auto EncryptionClient::Accounted(Op&& op) -> decltype(op()) {
+  Stopwatch watch;
+  const int64_t tracked_before = TrackedNanos();
+  const int64_t server_before = transport_->costs().server_nanos;
+  auto result = op();
+  const int64_t tracked = TrackedNanos() - tracked_before;
+  const int64_t server = transport_->costs().server_nanos - server_before;
+  costs_.overhead_nanos +=
+      std::max<int64_t>(0, watch.ElapsedNanos() - tracked - server);
+  return result;
+}
+
 Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
                                     InsertStrategy strategy,
                                     size_t bulk_size) {
   if (bulk_size == 0) {
     return Status::InvalidArgument("bulk size must be > 0");
   }
-  size_t offset = 0;
-  while (offset < objects.size()) {
+  for (size_t offset = 0; offset < objects.size(); offset += bulk_size) {
     const size_t batch = std::min(bulk_size, objects.size() - offset);
-    Stopwatch op_watch;
-    int64_t tracked_before =
-        costs_.distance_nanos + costs_.encryption_nanos;
+    SIMCLOUD_RETURN_NOT_OK(Accounted([&]() -> Status {
+      std::vector<InsertItem> items;
+      items.reserve(batch);
+      for (size_t i = 0; i < batch; ++i) {
+        const VectorObject& object = objects[offset + i];
+        InsertItem item;
+        item.id = object.id();
 
-    std::vector<InsertItem> items;
-    items.reserve(batch);
-    for (size_t i = 0; i < batch; ++i) {
-      const VectorObject& object = objects[offset + i];
-      InsertItem item;
-      item.id = object.id();
+        // Algorithm 1 lines 1-7: distances, then distances or permutation.
+        std::vector<float> distances =
+            ComputePivotDistances(object, /*apply_transform=*/true);
+        if (strategy == InsertStrategy::kPrecise) {
+          item.pivot_distances = std::move(distances);
+        } else {
+          // A strictly monotone transform preserves the permutation, so
+          // the permutation is computed from the (possibly transformed)
+          // values.
+          item.permutation = mindex::DistancesToPermutation(distances);
+        }
 
-      // Algorithm 1 lines 1-7: distances, then distances or permutation.
-      std::vector<float> distances =
-          ComputePivotDistances(object, /*apply_transform=*/true);
-      if (strategy == InsertStrategy::kPrecise) {
-        item.pivot_distances = std::move(distances);
-      } else {
-        // A strictly monotone transform preserves the permutation, so the
-        // permutation is computed from the (possibly transformed) values.
-        item.permutation = mindex::DistancesToPermutation(distances);
+        // Algorithm 1 line 8: store encrypted data only.
+        Stopwatch enc_watch;
+        SIMCLOUD_ASSIGN_OR_RETURN(item.payload, key_.EncryptObject(object));
+        costs_.encryption_nanos += enc_watch.ElapsedNanos();
+        costs_.objects_encrypted++;
+
+        items.push_back(std::move(item));
       }
 
-      // Algorithm 1 line 8: store encrypted data only.
-      Stopwatch enc_watch;
-      SIMCLOUD_ASSIGN_OR_RETURN(item.payload, key_.EncryptObject(object));
-      costs_.encryption_nanos += enc_watch.ElapsedNanos();
-      costs_.objects_encrypted++;
-
-      items.push_back(std::move(item));
-    }
-
-    const Bytes request = EncodeInsertBatchRequest(items);
-    const int64_t server_before = transport_->costs().server_nanos;
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                              transport_->Call(request));
-    const int64_t server_delta =
-        transport_->costs().server_nanos - server_before;
-    SIMCLOUD_ASSIGN_OR_RETURN(uint64_t inserted,
-                              DecodeInsertResponse(response_bytes));
-    if (inserted != batch) {
-      return Status::Internal("server acknowledged " +
-                              std::to_string(inserted) + " of " +
-                              std::to_string(batch) + " inserts");
-    }
-
-    const int64_t tracked_delta =
-        costs_.distance_nanos + costs_.encryption_nanos - tracked_before;
-    costs_.overhead_nanos += std::max<int64_t>(
-        0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-    offset += batch;
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          Bytes response_bytes,
+          transport_->Call(EncodeInsertBatchRequest(items)));
+      SIMCLOUD_ASSIGN_OR_RETURN(uint64_t inserted,
+                                DecodeInsertResponse(response_bytes));
+      if (inserted != batch) {
+        return Status::Internal("server acknowledged " +
+                                std::to_string(inserted) + " of " +
+                                std::to_string(batch) + " inserts");
+      }
+      return Status::OK();
+    }));
   }
   return Status::OK();
 }
 
 Status EncryptionClient::Delete(const metric::VectorObject& object) {
-  // The routing permutation is derived exactly as the insert derived it
-  // (both strategies route by the permutation of the transformed
-  // distances), so the delete reaches the same cell.
-  std::vector<float> distances =
-      ComputePivotDistances(object, /*apply_transform=*/true);
-  const mindex::Permutation permutation =
-      mindex::DistancesToPermutation(distances);
-  const Bytes request = EncodeDeleteRequest(object.id(), permutation);
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Call(request));
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted, DecodeInsertResponse(response));
-  if (deleted != 1) {
-    return Status::Internal("server acknowledged an unexpected delete count");
-  }
-  return Status::OK();
+  return DeleteBatch({object}, 1);
 }
 
 Status EncryptionClient::DeleteBatch(
@@ -137,6 +127,9 @@ Status EncryptionClient::DeleteBatch(
     std::vector<DeleteItem> items;
     items.reserve(batch);
     for (size_t i = 0; i < batch; ++i) {
+      // The routing permutation is derived exactly as the insert derived
+      // it (both strategies route by the permutation of the transformed
+      // distances), so the delete reaches the same cell.
       const VectorObject& object = objects[offset + i];
       std::vector<float> distances =
           ComputePivotDistances(object, /*apply_transform=*/true);
@@ -185,133 +178,72 @@ double EncryptionClient::MeasuredDistance(const VectorObject& query,
   return d;
 }
 
-Result<NeighborList> EncryptionClient::RefineCandidates(
-    const mindex::CandidateList& candidates, const VectorObject& query) {
-  NeighborList refined;
-  refined.reserve(candidates.size());
-  for (const auto& candidate : candidates) {
-    SIMCLOUD_ASSIGN_OR_RETURN(VectorObject object,
-                              DecryptCandidate(candidate.payload));
-    refined.push_back(Neighbor{object.id(), MeasuredDistance(query, object)});
-  }
-  std::sort(refined.begin(), refined.end());
-  return refined;
+namespace {
+
+/// The one answer of a batch of one.
+Result<NeighborList> OnlyAnswer(Result<std::vector<NeighborList>> answers) {
+  SIMCLOUD_RETURN_NOT_OK(answers.status());
+  return std::move(answers->front());
 }
+
+/// Decodes a batched candidate response that must answer `query_count`
+/// queries.
+Result<BatchCandidateResponse> DecodeAnswers(const Bytes& response_bytes,
+                                             size_t query_count) {
+  SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
+                            DecodeBatchCandidateResponse(response_bytes));
+  if (response.query_count() != query_count) {
+    return Status::Internal("server answered " +
+                            std::to_string(response.query_count()) + " of " +
+                            std::to_string(query_count) +
+                            " batched queries");
+  }
+  return response;
+}
+
+}  // namespace
 
 Result<NeighborList> EncryptionClient::RangeSearch(const VectorObject& query,
                                                    double radius) {
-  if (radius < 0) {
-    return Status::InvalidArgument("radius must be >= 0");
-  }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
+  return OnlyAnswer(RangeSearchBatch({query}, radius));
+}
 
-  // Algorithm 2 lines 1-6 (precise branch): distances only, no query object.
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  const double sent_radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
-
-  const Bytes request = EncodeRangeSearchRequest(query_distances, sent_radius);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
-  // Algorithm 2 lines 11-16: decrypt + refine with the true metric.
-  SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
-                            RefineCandidates(response.candidates, query));
-  NeighborList answer;
-  for (const Neighbor& n : refined) {
-    if (n.distance <= radius) answer.push_back(n);
-  }
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answer;
+Result<NeighborList> EncryptionClient::ApproxKnn(const VectorObject& query,
+                                                 size_t k, size_t cand_size) {
+  return OnlyAnswer(ApproxKnnBatch({query}, k, cand_size));
 }
 
 Result<NeighborList> EncryptionClient::ApproxKnnSingleCell(
     const VectorObject& query, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be > 0");
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  mindex::QuerySignature signature;
-  signature.permutation = mindex::DistancesToPermutation(query_distances);
-  signature.whole_cells = true;
-
-  const Bytes request = EncodeApproxKnnRequest(signature, 1);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
-  SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
-                            RefineCandidates(response.candidates, query));
-  KeepNearest(&refined, k);
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return refined;
+  const std::vector<VectorObject> queries = {query};
+  return OnlyAnswer(Accounted([&]() -> Result<std::vector<NeighborList>> {
+    // The server returns the one most promising cell whole.
+    mindex::KnnQuery item{KnnSignature(query, /*with_distances=*/false), 1};
+    item.signature.whole_cells = true;
+    SIMCLOUD_ASSIGN_OR_RETURN(
+        Bytes response_bytes,
+        transport_->Call(EncodeApproxKnnBatchRequest({item})));
+    return FinishApproxKnnBatch(response_bytes, queries, k);
+  }));
 }
 
-Result<NeighborList> EncryptionClient::ApproxKnn(const VectorObject& query,
-                                                 size_t k, size_t cand_size) {
-  if (k == 0) return Status::InvalidArgument("k must be > 0");
-  if (cand_size < k) {
-    return Status::InvalidArgument("candidate set size must be >= k");
-  }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  // Algorithm 2 lines 7-10 (approximate branch): permutation only.
+mindex::QuerySignature EncryptionClient::KnnSignature(
+    const VectorObject& query, bool with_distances) {
+  // Algorithm 2 lines 7-10 (approximate branch): permutation only,
+  // unless the caller wants the server to rank by lower bound.
   std::vector<float> query_distances =
       ComputePivotDistances(query, /*apply_transform=*/true);
   mindex::QuerySignature signature;
   signature.permutation = mindex::DistancesToPermutation(query_distances);
-
-  const Bytes request = EncodeApproxKnnRequest(signature, cand_size);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
-  SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
-                            RefineCandidates(response.candidates, query));
-  KeepNearest(&refined, k);
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return refined;
+  if (with_distances) signature.pivot_distances = std::move(query_distances);
+  return signature;
 }
 
 Result<std::vector<NeighborList>> EncryptionClient::RefineBatch(
     const BatchCandidateResponse& response,
     const std::vector<VectorObject>& queries) {
+  // Algorithm 2 lines 11-16: decrypt + refine with the true metric.
   std::vector<std::optional<VectorObject>> decoded(
       response.batch.payloads.size());
   std::vector<NeighborList> results;
@@ -346,6 +278,8 @@ Result<Bytes> EncryptionClient::BuildRangeSearchBatchRequest(
         "batch exceeds the " + std::to_string(kMaxBatchQueries) +
         "-query protocol limit; split it into smaller batches");
   }
+  // Algorithm 2 lines 1-6 (precise branch): distances only, no query
+  // object.
   const double sent_radius =
       key_.has_transform() ? key_.transform().Apply(radius) : radius;
   std::vector<mindex::RangeQuery> batch;
@@ -364,13 +298,7 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishRangeSearchBatch(
     const Bytes& response_bytes, const std::vector<VectorObject>& queries,
     double radius) {
   SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
-                            DecodeBatchCandidateResponse(response_bytes));
-  if (response.query_count() != queries.size()) {
-    return Status::Internal("server answered " +
-                            std::to_string(response.query_count()) + " of " +
-                            std::to_string(queries.size()) +
-                            " batched queries");
-  }
+                            DecodeAnswers(response_bytes, queries.size()));
   SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> refined_lists,
                             RefineBatch(response, queries));
   std::vector<NeighborList> answers;
@@ -387,30 +315,16 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishRangeSearchBatch(
 
 Result<std::vector<NeighborList>> EncryptionClient::RangeSearchBatch(
     const std::vector<VectorObject>& queries, double radius) {
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  // Built (and thereby argument-validated) before the empty shortcut so
-  // invalid arguments fail even for an empty batch.
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes request,
-                            BuildRangeSearchBatchRequest(queries, radius));
-  if (queries.empty()) return std::vector<NeighborList>{};
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      std::vector<NeighborList> answers,
-      FinishRangeSearchBatch(response_bytes, queries, radius));
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answers;
+  return Accounted([&]() -> Result<std::vector<NeighborList>> {
+    // Built (and thereby argument-validated) before the empty shortcut
+    // so invalid arguments fail even for an empty batch.
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes request,
+                              BuildRangeSearchBatchRequest(queries, radius));
+    if (queries.empty()) return std::vector<NeighborList>{};
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
+                              transport_->Call(request));
+    return FinishRangeSearchBatch(response_bytes, queries, radius);
+  });
 }
 
 Result<Bytes> EncryptionClient::BuildApproxKnnBatchRequest(
@@ -427,13 +341,8 @@ Result<Bytes> EncryptionClient::BuildApproxKnnBatchRequest(
   std::vector<mindex::KnnQuery> batch;
   batch.reserve(queries.size());
   for (const VectorObject& query : queries) {
-    std::vector<float> query_distances =
-        ComputePivotDistances(query, /*apply_transform=*/true);
-    mindex::KnnQuery item;
-    item.signature.permutation =
-        mindex::DistancesToPermutation(query_distances);
-    item.cand_size = cand_size;
-    batch.push_back(std::move(item));
+    batch.push_back(mindex::KnnQuery{
+        KnnSignature(query, /*with_distances=*/false), cand_size});
   }
   return EncodeApproxKnnBatchRequest(batch);
 }
@@ -442,13 +351,7 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishApproxKnnBatch(
     const Bytes& response_bytes, const std::vector<VectorObject>& queries,
     size_t k) {
   SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
-                            DecodeBatchCandidateResponse(response_bytes));
-  if (response.query_count() != queries.size()) {
-    return Status::Internal("server answered " +
-                            std::to_string(response.query_count()) + " of " +
-                            std::to_string(queries.size()) +
-                            " batched queries");
-  }
+                            DecodeAnswers(response_bytes, queries.size()));
   SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
                             RefineBatch(response, queries));
   for (NeighborList& refined : answers) {
@@ -459,27 +362,14 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishApproxKnnBatch(
 
 Result<std::vector<NeighborList>> EncryptionClient::ApproxKnnBatch(
     const std::vector<VectorObject>& queries, size_t k, size_t cand_size) {
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      Bytes request, BuildApproxKnnBatchRequest(queries, k, cand_size));
-  if (queries.empty()) return std::vector<NeighborList>{};
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
-                            FinishApproxKnnBatch(response_bytes, queries, k));
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answers;
+  return Accounted([&]() -> Result<std::vector<NeighborList>> {
+    SIMCLOUD_ASSIGN_OR_RETURN(
+        Bytes request, BuildApproxKnnBatchRequest(queries, k, cand_size));
+    if (queries.empty()) return std::vector<NeighborList>{};
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
+                              transport_->Call(request));
+    return FinishApproxKnnBatch(response_bytes, queries, k);
+  });
 }
 
 Result<net::PipelinedTransport*> EncryptionClient::PipelinedOrFail() const {
@@ -623,58 +513,45 @@ Result<NeighborList> EncryptionClient::ApproxKnnEarlyStop(
   if (cand_size < k) {
     return Status::InvalidArgument("candidate set size must be >= k");
   }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
+  return Accounted([&]() -> Result<NeighborList> {
+    // Send the distances, not just the permutation: the server then ranks
+    // candidates by their pivot-filtering lower bound on d(q, o) (in the
+    // transformed space when a transform is enabled).
+    const mindex::KnnQuery item{KnnSignature(query, /*with_distances=*/true),
+                                cand_size};
+    SIMCLOUD_ASSIGN_OR_RETURN(
+        Bytes response_bytes,
+        transport_->Call(EncodeApproxKnnBatchRequest({item})));
+    SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
+                              DecodeAnswers(response_bytes, 1));
 
-  // Send the distances, not just the permutation: the server then ranks
-  // candidates by their pivot-filtering lower bound on d(q, o) (in the
-  // transformed space when a transform is enabled).
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  mindex::QuerySignature signature;
-  signature.pivot_distances = query_distances;
-  signature.permutation = mindex::DistancesToPermutation(query_distances);
-
-  const Bytes request = EncodeApproxKnnRequest(signature, cand_size);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
-  // Refine in rank order; stop when the next candidate's lower bound
-  // already exceeds the k-th best true distance found so far. Scores are
-  // lower bounds in the (possibly transformed) space, so the comparison
-  // maps the current k-th distance through the transform first.
-  NeighborList best;  // kept sorted ascending, size <= k
-  for (const auto& candidate : response.candidates) {
-    if (best.size() == k) {
-      const double kth = best.back().distance;
-      const double kth_in_score_space =
-          key_.has_transform() ? key_.transform().Apply(kth) : kth;
-      if (candidate.score > kth_in_score_space) break;  // sound stop
+    // Refine in rank order; stop when the next candidate's lower bound
+    // already exceeds the k-th best true distance found so far. Scores
+    // are lower bounds in the (possibly transformed) space, so the
+    // comparison maps the current k-th distance through the transform
+    // first.
+    NeighborList best;  // kept sorted ascending, size <= k
+    for (const mindex::BatchCandidateRef& ref : response.batch.per_query[0]) {
+      if (best.size() == k) {
+        const double kth = best.back().distance;
+        const double kth_in_score_space =
+            key_.has_transform() ? key_.transform().Apply(kth) : kth;
+        if (ref.score > kth_in_score_space) break;  // sound stop
+      }
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          VectorObject object,
+          DecryptCandidate(response.batch.payloads[ref.payload_index]));
+      const Neighbor neighbor{object.id(), MeasuredDistance(query, object)};
+      auto pos = std::lower_bound(best.begin(), best.end(), neighbor);
+      if (best.size() < k) {
+        best.insert(pos, neighbor);
+      } else if (pos != best.end()) {
+        best.insert(pos, neighbor);
+        best.pop_back();
+      }
     }
-    SIMCLOUD_ASSIGN_OR_RETURN(VectorObject object,
-                              DecryptCandidate(candidate.payload));
-    const Neighbor neighbor{object.id(), MeasuredDistance(query, object)};
-    auto pos = std::lower_bound(best.begin(), best.end(), neighbor);
-    if (best.size() < k) {
-      best.insert(pos, neighbor);
-    } else if (pos != best.end()) {
-      best.insert(pos, neighbor);
-      best.pop_back();
-    }
-  }
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return best;
+    return best;
+  });
 }
 
 Result<NeighborList> EncryptionClient::PreciseKnn(const VectorObject& query,
@@ -870,37 +747,24 @@ Result<std::unique_ptr<CursorStream>> EncryptionClient::OpenRangeCursor(
   }
   SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
                             PipelinedOrFail());
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  // Same privacy envelope as RangeSearch: distances only, transformed
-  // radius, no query object on the wire.
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  const double sent_radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
-
-  const Bytes request = EncodeRangeSearchCursorRequest(
-      query_distances, sent_radius, page_size, /*start_offset=*/0);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, pipelined->Submit(request));
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, pipelined->Collect(ticket));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CursorPage first, DecodeCursorPage(response_bytes));
-
   // The first page's decryption + refinement happens in the first
   // Next(); the open accounts only distances and serialization.
-  auto stream = std::unique_ptr<CursorStream>(new CursorStream(
-      this, pipelined, query, radius, std::move(first)));
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return stream;
+  return Accounted([&]() -> Result<std::unique_ptr<CursorStream>> {
+    // Same privacy envelope as RangeSearch: distances only, transformed
+    // radius, no query object on the wire.
+    std::vector<float> query_distances =
+        ComputePivotDistances(query, /*apply_transform=*/true);
+    const double sent_radius =
+        key_.has_transform() ? key_.transform().Apply(radius) : radius;
+    SIMCLOUD_ASSIGN_OR_RETURN(
+        Bytes response_bytes,
+        transport_->Call(EncodeRangeSearchCursorRequest(
+            query_distances, sent_radius, page_size, /*start_offset=*/0)));
+    SIMCLOUD_ASSIGN_OR_RETURN(CursorPage first,
+                              DecodeCursorPage(response_bytes));
+    return std::unique_ptr<CursorStream>(new CursorStream(
+        this, pipelined, query, radius, std::move(first)));
+  });
 }
 
 CursorStream::~CursorStream() {
@@ -914,43 +778,38 @@ Result<NeighborList> CursorStream::Next() {
     return Status::FailedPrecondition("cursor stream is closed");
   }
   if (exhausted()) return NeighborList{};
-  Stopwatch op_watch;
-  ClientCosts& costs = client_->costs_;
-  const int64_t tracked_before =
-      costs.distance_nanos + costs.decryption_nanos + costs.encryption_nanos;
-  int64_t server_delta = 0;
-  CursorPage page;
-  if (first_pending_) {
-    page = std::move(first_page_);
-    first_page_ = CursorPage{};
-    first_pending_ = false;
-  } else {
-    const Bytes request = EncodeCursorNextRequest(cursor_id_);
-    const int64_t server_before = transport_->costs().server_nanos;
-    SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                              transport_->Collect(ticket));
-    server_delta = transport_->costs().server_nanos - server_before;
-    SIMCLOUD_ASSIGN_OR_RETURN(page, DecodeCursorPage(response_bytes));
-    cursor_id_ = page.cursor_id;
-  }
+  return client_->Accounted([&]() -> Result<NeighborList> {
+    CursorPage page;
+    if (first_pending_) {
+      page = std::move(first_page_);
+      first_page_ = CursorPage{};
+      first_pending_ = false;
+    } else {
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          Bytes response_bytes,
+          transport_->Call(EncodeCursorNextRequest(cursor_id_)));
+      SIMCLOUD_ASSIGN_OR_RETURN(page, DecodeCursorPage(response_bytes));
+      cursor_id_ = page.cursor_id;
+    }
 
-  // Algorithm 2 lines 11-16, one page at a time: decrypt, evaluate the
-  // true metric, keep the real matches.
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      NeighborList refined,
-      client_->RefineCandidates(page.candidates, query_));
-  NeighborList answer;
-  for (const Neighbor& n : refined) {
-    if (n.distance <= radius_) answer.push_back(n);
-  }
-
-  const int64_t tracked_delta =
-      costs.distance_nanos + costs.decryption_nanos + costs.encryption_nanos -
-      tracked_before;
-  costs.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answer;
+    // The page as a batch of one (payloads moved, not copied), refined
+    // like any search answer, then filtered to the real matches.
+    BatchCandidateResponse batch;
+    batch.batch.per_query.resize(1);
+    for (mindex::Candidate& candidate : page.candidates) {
+      batch.batch.per_query[0].push_back(mindex::BatchCandidateRef{
+          candidate.id, candidate.score,
+          static_cast<uint32_t>(batch.batch.payloads.size())});
+      batch.batch.payloads.push_back(std::move(candidate.payload));
+    }
+    SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> refined,
+                              client_->RefineBatch(batch, query_));
+    NeighborList answer;
+    for (const Neighbor& n : refined[0]) {
+      if (n.distance <= radius_) answer.push_back(n);
+    }
+    return answer;
+  });
 }
 
 Status CursorStream::Close() {
@@ -959,9 +818,7 @@ Status CursorStream::Close() {
   if (cursor_id_ == 0) return Status::OK();  // server already dropped it
   const uint64_t id = cursor_id_;
   cursor_id_ = 0;
-  Result<uint64_t> ticket = transport_->Submit(EncodeCursorCloseRequest(id));
-  if (!ticket.ok()) return ticket.status();
-  return transport_->Collect(*ticket).status();
+  return transport_->Call(EncodeCursorCloseRequest(id)).status();
 }
 
 }  // namespace secure

@@ -198,13 +198,14 @@ class CursorStream {
   friend class EncryptionClient;
   CursorStream(EncryptionClient* client, net::PipelinedTransport* transport,
                metric::VectorObject query, double radius, CursorPage first)
-      : client_(client), transport_(transport), query_(std::move(query)),
+      : client_(client), transport_(transport), query_({std::move(query)}),
         radius_(radius), cursor_id_(first.cursor_id), total_(first.total),
         first_page_(std::move(first)) {}
 
   EncryptionClient* client_;
   net::PipelinedTransport* transport_;
-  metric::VectorObject query_;  ///< plaintext query for refinement
+  /// The plaintext query for refinement, as a batch of one.
+  std::vector<metric::VectorObject> query_;
   double radius_ = 0;           ///< plaintext radius for refinement
   uint64_t cursor_id_ = 0;
   uint64_t total_ = 0;
@@ -237,7 +238,7 @@ class EncryptionClient {
   /// Deletes one object. The client recomputes the routing permutation
   /// from the object and its secret pivots, so the request carries no
   /// more information than the original insert did. NotFound if the
-  /// object is not indexed.
+  /// object is not indexed. A DeleteBatch of one.
   Status Delete(const metric::VectorObject& object);
 
   /// Deletes objects in bulks of `bulk_size` (kDeleteBatch, the mirror of
@@ -254,7 +255,8 @@ class EncryptionClient {
   Result<mindex::CompactionReport> Compact(bool force = true);
 
   /// Precise range query R(q, r) (Algorithm 2, precise branch). Returns
-  /// exactly the objects within `radius`, sorted by distance.
+  /// exactly the objects within `radius`, sorted by distance. A
+  /// RangeSearchBatch of one.
   Result<metric::NeighborList> RangeSearch(const metric::VectorObject& query,
                                            double radius);
 
@@ -262,13 +264,14 @@ class EncryptionClient {
   /// the ranked candidate snapshot and the client pulls `page_size`
   /// candidates per Next() — an unbounded result set never materializes
   /// on either side. Requires a pipelined transport (cursors are
-  /// connection-scoped server state; legacy framing is refused). The
-  /// returned stream borrows this client and its transport.
+  /// connection-scoped server state). The returned stream borrows this
+  /// client and its transport.
   Result<std::unique_ptr<CursorStream>> OpenRangeCursor(
       const metric::VectorObject& query, double radius, uint64_t page_size);
 
   /// Approximate k-NN (Algorithm 2, approximate branch): asks the server
   /// for `cand_size` pre-ranked candidates, decrypts and refines them.
+  /// An ApproxKnnBatch of one.
   Result<metric::NeighborList> ApproxKnn(const metric::VectorObject& query,
                                          size_t k, size_t cand_size);
 
@@ -358,9 +361,7 @@ class EncryptionClient {
   /// Scrapes the server's metrics registry (per-opcode latency
   /// histograms, byte counters, cache/compaction/failover telemetry —
   /// see docs/observability.md). Against a ShardedServer the snapshot
-  /// is the bucket-correct merge of every shard registry. The server
-  /// refuses legacy (bit-31-clear) framing for this opcode; use a
-  /// pipelined transport.
+  /// is the bucket-correct merge of every shard registry.
   Result<obs::MetricsSnapshot> GetMetrics();
 
   /// Registers a live change stream scoped to the range query R(query,
@@ -392,9 +393,20 @@ class EncryptionClient {
   /// WatchStream decrypts pushed payloads through DecryptCandidate so
   /// watch decryptions land in the same cost accounting as candidates.
   friend class WatchStream;
-  /// CursorStream refines pages through RefineCandidates under the same
-  /// cost accounting as one-shot searches.
+  /// CursorStream refines pages through RefineBatch under the same cost
+  /// accounting as one-shot searches.
   friend class CursorStream;
+
+  /// Runs `op`, charging its wall time to overhead_nanos less the time
+  /// tracked elsewhere (distances, crypto) and the server time its round
+  /// trips reported.
+  template <typename Op>
+  auto Accounted(Op&& op) -> decltype(op());
+  /// Client time ClientCosts already attributes (distances, crypto).
+  int64_t TrackedNanos() const {
+    return costs_.distance_nanos + costs_.decryption_nanos +
+           costs_.encryption_nanos;
+  }
 
   /// Computes (and counts) distances from `object` to all pivots, applying
   /// the distribution-hiding transform when enabled.
@@ -418,6 +430,12 @@ class EncryptionClient {
       const Bytes& response_bytes,
       const std::vector<metric::VectorObject>& queries, double radius);
 
+  /// The approximate-search signature of `query`: the permutation of its
+  /// transformed pivot distances, plus the distances themselves when
+  /// `with_distances` (the server then ranks candidates by lower bound).
+  mindex::QuerySignature KnnSignature(const metric::VectorObject& query,
+                                      bool with_distances);
+
   /// Encodes a kApproxKnnBatch request.
   Result<Bytes> BuildApproxKnnBatchRequest(
       const std::vector<metric::VectorObject>& queries, size_t k,
@@ -433,12 +451,6 @@ class EncryptionClient {
   /// One true-metric evaluation under distance-cost accounting.
   double MeasuredDistance(const metric::VectorObject& query,
                           const metric::VectorObject& object);
-
-  /// Decrypts candidates and evaluates true distances (Alg. 2 lines 11-16),
-  /// keeping those satisfying `predicate`.
-  Result<metric::NeighborList> RefineCandidates(
-      const mindex::CandidateList& candidates,
-      const metric::VectorObject& query);
 
   /// Batch refinement: decrypts each distinct payload of the batch
   /// dictionary ONCE (candidates shared between queries — overlapping or

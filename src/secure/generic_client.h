@@ -24,6 +24,7 @@
 #define SIMCLOUD_SECURE_GENERIC_CLIENT_H_
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/serialize.h"
@@ -99,19 +100,16 @@ class GenericEncryptionClient {
     if (radius < 0) {
       return Status::InvalidArgument("radius must be >= 0");
     }
-    const std::vector<float> distances = PivotDistances(query);
+    mindex::RangeQuery item;
+    item.pivot_distances = PivotDistances(query);
+    item.radius = radius;
     SIMCLOUD_ASSIGN_OR_RETURN(
-        Bytes response,
-        transport_->Call(EncodeRangeSearchRequest(distances, radius)));
-    SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse candidates,
-                              DecodeCandidateResponse(response));
+        metric::NeighborList refined,
+        CallAndRefine(query, EncodeRangeSearchBatchRequest({item})));
     metric::NeighborList answer;
-    for (const auto& candidate : candidates.candidates) {
-      SIMCLOUD_ASSIGN_OR_RETURN(Object object, Decrypt(candidate.payload));
-      const double d = distance_(query, object);
-      if (d <= radius) answer.push_back({object.id(), d});
+    for (const metric::Neighbor& n : refined) {
+      if (n.distance <= radius) answer.push_back(n);
     }
-    std::sort(answer.begin(), answer.end());
     return answer;
   }
 
@@ -122,21 +120,13 @@ class GenericEncryptionClient {
     if (k == 0 || cand_size < k) {
       return Status::InvalidArgument("need k >= 1 and cand_size >= k");
     }
-    mindex::QuerySignature signature;
-    signature.permutation =
+    mindex::KnnQuery item;
+    item.signature.permutation =
         mindex::DistancesToPermutation(PivotDistances(query));
+    item.cand_size = cand_size;
     SIMCLOUD_ASSIGN_OR_RETURN(
-        Bytes response,
-        transport_->Call(EncodeApproxKnnRequest(signature, cand_size)));
-    SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse candidates,
-                              DecodeCandidateResponse(response));
-    metric::NeighborList answer;
-    answer.reserve(candidates.candidates.size());
-    for (const auto& candidate : candidates.candidates) {
-      SIMCLOUD_ASSIGN_OR_RETURN(Object object, Decrypt(candidate.payload));
-      answer.push_back({object.id(), distance_(query, object)});
-    }
-    std::sort(answer.begin(), answer.end());
+        metric::NeighborList answer,
+        CallAndRefine(query, EncodeApproxKnnBatchRequest({item})));
     if (answer.size() > k) answer.resize(k);
     return answer;
   }
@@ -160,6 +150,30 @@ class GenericEncryptionClient {
     SIMCLOUD_ASSIGN_OR_RETURN(Bytes plaintext, cipher_.Decrypt(ciphertext));
     BinaryReader reader(plaintext);
     return Object::Deserialize(&reader);
+  }
+
+  /// Sends a one-query batch request; returns its candidates decrypted,
+  /// with their true distances to `query`, nearest first.
+  Result<metric::NeighborList> CallAndRefine(const Object& query,
+                                             const Bytes& request) {
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Call(request));
+    SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse candidates,
+                              DecodeBatchCandidateResponse(response));
+    if (candidates.query_count() != 1) {
+      return Status::Internal("server answered " +
+                              std::to_string(candidates.query_count()) +
+                              " queries of a batch of one");
+    }
+    metric::NeighborList answer;
+    answer.reserve(candidates.batch.per_query[0].size());
+    for (const mindex::BatchCandidateRef& ref :
+         candidates.batch.per_query[0]) {
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          Object object, Decrypt(candidates.batch.payloads[ref.payload_index]));
+      answer.push_back({object.id(), distance_(query, object)});
+    }
+    std::sort(answer.begin(), answer.end());
+    return answer;
   }
 
   std::vector<Object> pivots_;

@@ -23,8 +23,7 @@ Result<mindex::SearchStats> ReadSearchStats(BinaryReader* reader) {
   return stats;
 }
 
-/// One candidate-set block: stats, then the ranked candidates. Shared by
-/// the single response and each per-query block of a batch response.
+/// One cursor page's candidate block: stats, then the ranked candidates.
 void WriteCandidateBlock(BinaryWriter* writer,
                          const mindex::CandidateList& candidates,
                          const mindex::SearchStats& stats) {
@@ -82,24 +81,6 @@ Bytes EncodeInsertBatchRequest(const std::vector<InsertItem>& items) {
   return writer.TakeBuffer();
 }
 
-Bytes EncodeRangeSearchRequest(const std::vector<float>& query_distances,
-                               double radius) {
-  BinaryWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(Op::kRangeSearch));
-  writer.WriteFloatVector(query_distances);
-  writer.WriteDouble(radius);
-  return writer.TakeBuffer();
-}
-
-Bytes EncodeApproxKnnRequest(const mindex::QuerySignature& query,
-                             uint64_t cand_size) {
-  BinaryWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(Op::kApproxKnn));
-  WriteQuerySignature(&writer, query);
-  writer.WriteVarint(cand_size);
-  return writer.TakeBuffer();
-}
-
 Bytes EncodeRangeSearchBatchRequest(
     const std::vector<mindex::RangeQuery>& queries) {
   BinaryWriter writer;
@@ -127,15 +108,6 @@ Bytes EncodeApproxKnnBatchRequest(
 Bytes EncodeGetStatsRequest() {
   BinaryWriter writer;
   writer.WriteU8(static_cast<uint8_t>(Op::kGetStats));
-  return writer.TakeBuffer();
-}
-
-Bytes EncodeDeleteRequest(metric::ObjectId id,
-                          const mindex::Permutation& permutation) {
-  BinaryWriter writer;
-  writer.WriteU8(static_cast<uint8_t>(Op::kDelete));
-  writer.WriteVarint(id);
-  writer.WriteU32Vector(permutation);
   return writer.TakeBuffer();
 }
 
@@ -317,25 +289,8 @@ Result<Request> DecodeRequest(const Bytes& data) {
       }
       return request;
     }
-    case Op::kRangeSearch: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.query_distances,
-                                reader.ReadFloatVector());
-      SIMCLOUD_ASSIGN_OR_RETURN(request.radius, reader.ReadDouble());
-      return request;
-    }
-    case Op::kApproxKnn: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.query, ReadQuerySignature(&reader));
-      SIMCLOUD_ASSIGN_OR_RETURN(request.cand_size, reader.ReadVarint());
-      return request;
-    }
     case Op::kGetStats:
       return request;
-    case Op::kDelete: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.delete_id, reader.ReadVarint());
-      SIMCLOUD_ASSIGN_OR_RETURN(request.delete_permutation,
-                                reader.ReadU32Vector());
-      return request;
-    }
     case Op::kRangeSearchBatch: {
       SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
       if (count > kMaxBatchQueries) {
@@ -447,23 +402,6 @@ Result<Request> DecodeRequest(const Bytes& data) {
       return request;
   }
   return Status::Corruption("unknown opcode " + std::to_string(op_byte));
-}
-
-Bytes EncodeCandidateResponse(const mindex::CandidateList& candidates,
-                              const mindex::SearchStats& stats) {
-  BinaryWriter writer;
-  size_t payload_bytes = 0;
-  for (const auto& candidate : candidates) {
-    payload_bytes += candidate.payload.size() + 24;
-  }
-  writer.Reserve(payload_bytes + 64);
-  WriteCandidateBlock(&writer, candidates, stats);
-  return writer.TakeBuffer();
-}
-
-Result<CandidateResponse> DecodeCandidateResponse(const Bytes& data) {
-  BinaryReader reader(data);
-  return ReadCandidateBlock(&reader);
 }
 
 Bytes WriteBatchCandidateResponse(

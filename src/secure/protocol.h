@@ -26,16 +26,16 @@ namespace secure {
 /// is rejected at decode time (bounds per-request server work).
 inline constexpr uint64_t kMaxBatchQueries = 4096;
 
-/// Opcodes of the encrypted M-Index service.
+/// Opcodes of the encrypted M-Index service. Every operation has one
+/// opcode: a single query or delete is a batch of one. Numbers 2, 3 and 5
+/// (the retired single range, approximate k-NN and delete opcodes) are
+/// never reused and decode as an unknown opcode.
 enum class Op : uint8_t {
   kInsertBatch = 1,       ///< bulk insert of encrypted objects (Alg. 1)
-  kRangeSearch = 2,       ///< precise range candidates (Alg. 3)
-  kApproxKnn = 3,         ///< pre-ranked approximate candidates (Alg. 4)
   kGetStats = 4,          ///< index statistics
-  kDelete = 5,            ///< remove one object by id + routing permutation
-  kRangeSearchBatch = 6,  ///< many range queries, one round trip
-  kApproxKnnBatch = 7,    ///< many approximate queries, one round trip
-  kDeleteBatch = 8,       ///< bulk delete, one lock + one free pass
+  kRangeSearchBatch = 6,  ///< precise range candidates (Alg. 3)
+  kApproxKnnBatch = 7,    ///< pre-ranked approximate candidates (Alg. 4)
+  kDeleteBatch = 8,       ///< delete by id + routing permutation
   kCompact = 9,           ///< admin: compact the payload log(s)
   kPing = 10,             ///< no-op health check / pure-RTT probe
   kWatch = 11,            ///< register a standing change-stream subscription
@@ -55,8 +55,7 @@ struct InsertItem {
 };
 
 /// One item of a batched delete: the id plus the routing permutation the
-/// insert used — exactly what the single kDelete opcode carries, so the
-/// batch leaks nothing more.
+/// insert used, so a delete leaks nothing the insert did not.
 struct DeleteItem {
   metric::ObjectId id = 0;
   mindex::Permutation permutation;
@@ -104,13 +103,7 @@ struct WatchFrame {
 
 /// Serialized requests.
 Bytes EncodeInsertBatchRequest(const std::vector<InsertItem>& items);
-Bytes EncodeRangeSearchRequest(const std::vector<float>& query_distances,
-                               double radius);
-Bytes EncodeApproxKnnRequest(const mindex::QuerySignature& query,
-                             uint64_t cand_size);
 Bytes EncodeGetStatsRequest();
-Bytes EncodeDeleteRequest(metric::ObjectId id,
-                          const mindex::Permutation& permutation);
 Bytes EncodeRangeSearchBatchRequest(
     const std::vector<mindex::RangeQuery>& queries);
 Bytes EncodeApproxKnnBatchRequest(const std::vector<mindex::KnnQuery>& queries);
@@ -125,8 +118,8 @@ Bytes EncodePingRequest();
 /// the stream at the shard's current sequence (deliver the future only);
 /// a non-empty token resumes after the given per-shard sequences and is
 /// rejected with OutOfRange ("watch lost") when the replay ring no longer
-/// covers them. Requires the pipelined framing — a legacy connection gets
-/// a clean FailedPrecondition error.
+/// covers them. Needs a transport that can push: an in-process call
+/// gets a clean FailedPrecondition error.
 Bytes EncodeWatchRequest(const WatchFilter& filter,
                          const std::vector<uint64_t>& resume_token);
 /// Tears down the subscription `watch_id` (from the ack frame). After
@@ -139,12 +132,11 @@ Bytes EncodeWatchFrame(const WatchFrame& frame);
 Result<WatchFrame> DecodeWatchFrame(const Bytes& data);
 
 /// Opens a server-side cursor over a precise range search: the server
-/// runs the same collect + rank pass as kRangeSearch, pins the ranked
-/// snapshot, and answers with the first page plus a cursor id. Requires
-/// the pipelined framing (like kWatch); legacy connections get a clean
-/// FailedPrecondition. `start_offset` skips that many ranked candidates
-/// before the first page — 0 for a fresh cursor; a sharded facade uses it
-/// to reopen a shard leg on a surviving replica after failover.
+/// runs the same collect + rank pass as kRangeSearchBatch, pins the
+/// ranked snapshot, and answers with the first page plus a cursor id.
+/// `start_offset` skips that many ranked candidates before the first
+/// page — 0 for a fresh cursor; a sharded facade uses it to reopen a
+/// shard leg on a surviving replica after failover.
 Bytes EncodeRangeSearchCursorRequest(
     const std::vector<float>& query_distances, double radius,
     uint64_t page_size, uint64_t start_offset = 0);
@@ -163,9 +155,10 @@ Bytes EncodeCursorCloseRequest(uint64_t cursor_id);
 /// server kept NO state — the page that exhausts the result set (possibly
 /// the first) releases the cursor eagerly, so a well-behaved client never
 /// needs kCursorClose on a drained stream. `total` is the ranked
-/// candidate count at open (what kRangeSearch's stats.candidates would
-/// report). The open page carries the full collection stats; later pages
-/// carry zeros except stats.candidates = page size.
+/// candidate count at open (what kRangeSearchBatch's stats.candidates
+/// would report for the query). The open page carries the full
+/// collection stats; later pages carry zeros except stats.candidates =
+/// page size.
 struct CursorPage {
   uint64_t cursor_id = 0;  ///< 0: exhausted, no server state remains
   uint64_t total = 0;      ///< ranked candidates pinned at open
@@ -180,13 +173,7 @@ Result<CursorPage> DecodeCursorPage(const Bytes& data);
 /// Decoded request (server side).
 struct Request {
   Op op;
-  std::vector<InsertItem> insert_items;      // kInsertBatch
-  std::vector<float> query_distances;        // kRangeSearch
-  double radius = 0;                         // kRangeSearch
-  mindex::QuerySignature query;              // kApproxKnn
-  uint64_t cand_size = 0;                    // kApproxKnn
-  metric::ObjectId delete_id = 0;            // kDelete
-  mindex::Permutation delete_permutation;    // kDelete
+  std::vector<InsertItem> insert_items;           // kInsertBatch
   std::vector<mindex::RangeQuery> range_queries;  // kRangeSearchBatch
   std::vector<mindex::KnnQuery> knn_queries;      // kApproxKnnBatch
   std::vector<DeleteItem> delete_items;           // kDeleteBatch
@@ -194,29 +181,26 @@ struct Request {
   WatchFilter watch_filter;                       // kWatch
   std::vector<uint64_t> watch_resume_token;       // kWatch (empty = fresh)
   uint64_t watch_cancel_id = 0;                   // kWatchCancel
-  uint64_t cursor_page_size = 0;     // kRangeSearchCursor (query fields
-                                     // reuse query_distances / radius)
-  uint64_t cursor_start_offset = 0;  // kRangeSearchCursor (failover reopen)
-  uint64_t cursor_id = 0;            // kCursorNext / kCursorClose
+  std::vector<float> query_distances;  // kRangeSearchCursor
+  double radius = 0;                   // kRangeSearchCursor
+  uint64_t cursor_page_size = 0;       // kRangeSearchCursor
+  uint64_t cursor_start_offset = 0;    // kRangeSearchCursor (failover reopen)
+  uint64_t cursor_id = 0;              // kCursorNext / kCursorClose
 };
 Result<Request> DecodeRequest(const Bytes& data);
 
-/// Candidate-set response (kRangeSearch / kApproxKnn).
-Bytes EncodeCandidateResponse(const mindex::CandidateList& candidates,
-                              const mindex::SearchStats& stats);
+/// One query's candidate set with its search stats.
 struct CandidateResponse {
   mindex::CandidateList candidates;
   mindex::SearchStats stats;
 };
-Result<CandidateResponse> DecodeCandidateResponse(const Bytes& data);
 
 /// Batched candidate-set response (kRangeSearchBatch / kApproxKnnBatch).
 /// Dictionary-encoded: the deduplicated payload bytes are shipped once,
 /// followed by per-query blocks of (stats, ranked candidate references).
 /// Overlapping or repeated queries therefore cost one payload transfer
-/// per distinct ciphertext, not per candidate. Materialize(q) expands a
-/// query into the exact CandidateResponse the single-query opcode would
-/// have produced.
+/// per distinct ciphertext, not per candidate. Materialize(q) expands
+/// query q into its ranked candidates and stats.
 Bytes EncodeBatchCandidateResponse(const mindex::BatchCandidates& batch,
                                    const std::vector<mindex::SearchStats>& stats);
 struct BatchCandidateResponse {
@@ -268,11 +252,9 @@ Result<mindex::CompactionReport> DecodeCompactResponse(const Bytes& data);
 
 /// Observability scrape (kGetMetrics): an empty-bodied request — any
 /// trailing bytes are rejected, so a misframed opcode-16 frame can never
-/// leak a registry snapshot. Requires the pipelined framing on the wire
-/// (legacy connections get a clean FailedPrecondition; in-process calls
-/// are allowed). The response is the append-only metrics wire block of
-/// obs::EncodeMetricsSnapshot — a ShardedServer answers with the
-/// bucket-correct merge of its shards' snapshots.
+/// leak a registry snapshot. The response is the append-only metrics
+/// wire block of obs::EncodeMetricsSnapshot — a ShardedServer answers
+/// with the bucket-correct merge of its shards' snapshots.
 Bytes EncodeGetMetricsRequest();
 Bytes EncodeMetricsResponse(const obs::MetricsSnapshot& snapshot);
 Result<obs::MetricsSnapshot> DecodeMetricsResponse(const Bytes& data);

@@ -355,46 +355,6 @@ Result<uint64_t> ShardedServer::ScatterCounted(
   return count;
 }
 
-namespace {
-
-/// Merges one query's per-shard results: concatenated candidates sorted
-/// by score (stable across shard order), trimmed to `limit` when > 0.
-void MergeShardResults(std::vector<CandidateResponse>&& shard_results,
-                       size_t limit, mindex::CandidateList* merged,
-                       mindex::SearchStats* stats) {
-  for (auto& decoded : shard_results) {
-    stats->Add(decoded.stats);
-    for (auto& candidate : decoded.candidates) {
-      merged->push_back(std::move(candidate));
-    }
-  }
-  std::stable_sort(merged->begin(), merged->end(),
-                   [](const mindex::Candidate& a, const mindex::Candidate& b) {
-                     return a.score < b.score;
-                   });
-  if (limit > 0 && merged->size() > limit) merged->resize(limit);
-  stats->candidates = merged->size();
-}
-
-}  // namespace
-
-Result<Bytes> ShardedServer::FanOut(const Bytes& request, size_t limit) {
-  std::vector<Result<Bytes>> responses = CallAllShards(request);
-
-  std::vector<CandidateResponse> shard_results;
-  shard_results.reserve(responses.size());
-  for (const auto& response : responses) {
-    SIMCLOUD_RETURN_NOT_OK(response.status());
-    SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse decoded,
-                              DecodeCandidateResponse(*response));
-    shard_results.push_back(std::move(decoded));
-  }
-  mindex::CandidateList merged;
-  mindex::SearchStats stats;
-  MergeShardResults(std::move(shard_results), limit, &merged, &stats);
-  return EncodeCandidateResponse(merged, stats);
-}
-
 Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
                                          const std::vector<size_t>& limits) {
   std::vector<Result<Bytes>> responses = CallAllShards(request);
@@ -491,22 +451,17 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
                                 ScatterCounted(sub_requests));
       return EncodeInsertResponse(inserted);
     }
-    case Op::kRangeSearch:
-      // Every shard prunes its own subtrees; the union of the per-shard
-      // candidate supersets is a superset for the whole collection.
-      return FanOut(request_bytes, /*limit=*/0);
-    case Op::kApproxKnn:
-      // Each shard contributes up to the full budget; the merge keeps
-      // the globally best-ranked cand_size candidates. Whole-cell
-      // queries return the union of per-shard best cells untrimmed.
-      return FanOut(request_bytes,
-                    request.query.whole_cells ? 0 : request.cand_size);
     case Op::kRangeSearchBatch: {
-      // One fan-out carries every query to every shard.
+      // One fan-out carries every query to every shard. Every shard
+      // prunes its own subtrees; the union of the per-shard candidate
+      // supersets is a superset for the whole collection.
       std::vector<size_t> limits(request.range_queries.size(), 0);
       return FanOutBatch(request_bytes, limits);
     }
     case Op::kApproxKnnBatch: {
+      // Each shard contributes up to the full budget; the merge keeps
+      // the globally best-ranked cand_size candidates. Whole-cell
+      // queries return the union of per-shard best cells untrimmed.
       std::vector<size_t> limits(request.knn_queries.size());
       for (size_t q = 0; q < request.knn_queries.size(); ++q) {
         limits[q] = request.knn_queries[q].signature.whole_cells
@@ -583,9 +538,6 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       }
       return EncodeStatsResponse(total);
     }
-    case Op::kDelete:
-      return channels_[OwnerOf(request.delete_permutation)]->Call(
-          request_bytes);
     case Op::kDeleteBatch: {
       // Validate the WHOLE batch before forwarding anything: a malformed
       // item must reject the batch with no shard mutated, matching the
@@ -637,7 +589,7 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
     case Op::kRangeSearchCursor:
       return HandleRangeSearchCursor(request, stream);
     case Op::kCursorNext:
-      return HandleCursorNext(request, stream);
+      return HandleCursorNext(request);
     case Op::kCursorClose: {
       // Idempotent: take the composite state (if any), tear its shard
       // legs down inline (worker thread — shard I/O is fine here), ack
@@ -648,13 +600,6 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       return EncodeInsertResponse(1);
     }
     case Op::kGetMetrics: {
-      // Same legacy-framing refusal as the shard handler (cheap probe
-      // loops must opt into the unbounded response via pipelining).
-      if (stream != nullptr && !stream->pipelined()) {
-        return Status::FailedPrecondition(
-            "kGetMetrics needs a pipelined connection (legacy framing is "
-            "stateless)");
-      }
       // The merge covers the SHARD registries only — the facade's own
       // registry is excluded so the aggregate equals the sum of the
       // per-shard scrapes exactly (histograms merge bucket-by-bucket on
@@ -893,8 +838,7 @@ Result<Bytes> ShardedServer::HandleWatch(const Request& request,
   if (stream != nullptr) sink = stream->MakeSink();
   if (sink == nullptr) {
     return Status::FailedPrecondition(
-        "kWatch needs a pipelined connection (server push is impossible "
-        "on legacy framing or loopback)");
+        "kWatch needs a transport that can push (loopback cannot)");
   }
   const size_t shard_count = channels_.size();
   if (!request.watch_resume_token.empty() &&
@@ -1153,13 +1097,8 @@ void ShardedServer::CloseCursorLegs(
 
 Result<Bytes> ShardedServer::HandleRangeSearchCursor(
     const Request& request, net::StreamContext* stream) {
-  // Same taxonomy as the single server: legacy framing is the stateless
-  // compat path; in-process calls (null stream) rely on the TTL reaper.
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+  // Like the single server: in-process calls (null stream) rely on the
+  // TTL reaper.
   if (request.cursor_page_size == 0) {
     return Status::InvalidArgument("cursor page size must be > 0");
   }
@@ -1205,7 +1144,7 @@ Result<Bytes> ShardedServer::HandleRangeSearchCursor(
   }
   page.candidates = std::move(*merged);
   // The open page carries the summed fan-out stats, candidates pinned to
-  // the merged total — exactly what MergeShardResults reports one-shot.
+  // the merged total — exactly what FanOutBatch reports one-shot.
   page.stats = cursor->stats;
   page.stats.candidates = cursor->total;
 
@@ -1228,13 +1167,7 @@ Result<Bytes> ShardedServer::HandleRangeSearchCursor(
   return EncodeCursorPage(page);
 }
 
-Result<Bytes> ShardedServer::HandleCursorNext(const Request& request,
-                                              net::StreamContext* stream) {
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+Result<Bytes> ShardedServer::HandleCursorNext(const Request& request) {
   SIMCLOUD_ASSIGN_OR_RETURN(std::shared_ptr<void> state,
                             cursors_.Acquire(request.cursor_id));
   auto cursor = std::static_pointer_cast<CompositeCursor>(state);

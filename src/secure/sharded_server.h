@@ -194,21 +194,17 @@ class ShardedServer : public net::RequestHandler {
   /// Objects of one top-level Voronoi cell always land together.
   size_t OwnerOf(const mindex::Permutation& permutation) const;
 
-  /// Runs the request on every shard (overlapped) and concatenates the
-  /// candidate responses (merged stats), trimming to `limit` by score
-  /// when limit > 0.
-  Result<Bytes> FanOut(const Bytes& request, size_t limit);
-
-  /// Batch variant: ONE fan-out carries the whole batch; each shard
-  /// evaluates every query, then the per-query candidate lists are
-  /// merged by score across shards and trimmed to `limits[q]` (0 = no
-  /// trim), exactly like `limits.size()` FanOut calls would.
+  /// Runs a query batch on every shard (overlapped): ONE fan-out carries
+  /// the whole batch, each shard evaluates every query, then each
+  /// query's candidates are concatenated in shard order, stably sorted
+  /// by score and trimmed to `limits[q]` (0 = no trim), with the
+  /// per-shard stats summed.
   Result<Bytes> FanOutBatch(const Bytes& request,
                             const std::vector<size_t>& limits);
 
   /// Submits the request to every shard, then collects: all shards work
-  /// concurrently while this thread waits (shared by FanOut / FanOutBatch
-  /// / stats / compaction).
+  /// concurrently while this thread waits (shared by FanOutBatch / stats
+  /// / compaction / metrics).
   std::vector<Result<Bytes>> CallAllShards(const Bytes& request) const;
 
   /// Submits per-shard sub-requests (empty entries are skipped), collects
@@ -280,8 +276,7 @@ class ShardedServer : public net::RequestHandler {
 
   Result<Bytes> HandleRangeSearchCursor(const Request& request,
                                         net::StreamContext* stream);
-  Result<Bytes> HandleCursorNext(const Request& request,
-                                 net::StreamContext* stream);
+  Result<Bytes> HandleCursorNext(const Request& request);
   /// Opens (or failover-reopens, start_offset > 0) shard `shard`'s leg.
   /// Remote mode pins a live replica (kUp first, then kDegraded) exactly
   /// like watch legs; a remote REJECTION (the shard answered an error)

@@ -58,11 +58,6 @@ bool IsRemoteRejection(const std::shared_ptr<net::TcpTransport>& transport,
 
 }  // namespace
 
-Result<Bytes> ShardChannel::Call(const Bytes& request) {
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, Submit(request));
-  return Collect(ticket);
-}
-
 std::string ShardEndpoint::ToString() const {
   return host + ":" + std::to_string(port);
 }
@@ -352,7 +347,6 @@ bool ReplicaGroupChannel::IsWriteOp(const Bytes& request) {
   if (request.empty()) return false;
   switch (static_cast<Op>(request[0])) {
     case Op::kInsertBatch:
-    case Op::kDelete:
     case Op::kDeleteBatch:
       return true;
     default:

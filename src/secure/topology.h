@@ -71,8 +71,6 @@ class ShardChannel {
   virtual ~ShardChannel() = default;
   virtual Result<uint64_t> Submit(const Bytes& request) = 0;
   virtual Result<Bytes> Collect(uint64_t ticket) = 0;
-  /// Synchronous convenience: Submit + Collect.
-  Result<Bytes> Call(const Bytes& request);
 };
 
 /// Address of a remote shard server (an EncryptedMIndexServer behind a

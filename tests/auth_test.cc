@@ -196,7 +196,8 @@ TEST(AuthTest, ComposesWithEncryptedSearchEndToEnd) {
   net::LoopbackTransport attacker(&auth_handler);
   mindex::QuerySignature probe;
   probe.permutation = {0, 1, 2, 3, 4, 5, 6, 7};
-  auto probe_response = attacker.Call(EncodeApproxKnnRequest(probe, 50));
+  auto probe_response =
+      attacker.Call(EncodeApproxKnnBatchRequest({mindex::KnnQuery{probe, 50}}));
   EXPECT_FALSE(probe_response.ok());
   EXPECT_GE(auth_handler.rejected_count(), 1u);
 }
@@ -245,7 +246,8 @@ TEST(AuthTest, PipelinedRequestsComposeWithRequestIdFrames) {
   EXPECT_EQ(echo.calls(), static_cast<uint64_t>(kInFlight));
   EXPECT_EQ(handler.rejected_count(), 0u);
 
-  // Synchronous legacy Calls still interleave with pipelined traffic.
+  // Synchronous Calls, each under its own request id, interleave with
+  // pipelined traffic; a Call does not wait for an earlier Submit.
   auto first = transport.Submit(Bytes{1, 2, 3});
   ASSERT_TRUE(first.ok());
   auto called = transport.Call(Bytes{9, 9});

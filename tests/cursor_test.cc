@@ -1,9 +1,9 @@
 // Server-side cursor battery (kRangeSearchCursor / kCursorNext /
-// kCursorClose): the anchor invariant is BYTE identity — re-encoding the
+// kCursorClose): the anchor invariant is BYTE identity — the
 // concatenation of all cursor pages with the open page's stats must
-// reproduce the one-shot kRangeSearch response exactly, across storage
-// engines (memory / disk), deployment shapes (single node / 3-shard
-// facade), and page sizes including 1. Around the anchor: TTL expiry is
+// encode exactly like the one-shot answer (a range batch of one),
+// across storage engines (memory / disk), deployment shapes (single
+// node / 3-shard facade), and page sizes including 1. Around the anchor: TTL expiry is
 // an explicit error (never a silent empty page), max_open_cursors
 // rejection, idempotent close, eager disconnect reaping (asserted via
 // stats), and snapshot-at-open semantics under concurrent churn.
@@ -172,25 +172,46 @@ DrainResult DrainCursor(net::RequestHandler* handler,
   return drained;
 }
 
+/// The one-shot answer to R(q, radius): a range batch of one.
+CandidateResponse OneShotRange(net::RequestHandler* handler,
+                               const std::vector<float>& query_distances,
+                               double radius) {
+  auto bytes = handler->Handle(EncodeRangeSearchBatchRequest(
+      {mindex::RangeQuery{query_distances, radius}}));
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!bytes.ok()) return {};
+  auto decoded = DecodeBatchCandidateResponse(*bytes);
+  EXPECT_TRUE(decoded.ok() && decoded->query_count() == 1);
+  if (!decoded.ok() || decoded->query_count() != 1) return {};
+  return decoded->Materialize(0);
+}
+
+/// One answer in a single canonical encoding (the cursor page's
+/// candidate block), so two answers compare byte for byte: every id,
+/// score, payload byte and stat.
+Bytes Canonical(const mindex::CandidateList& candidates,
+                const mindex::SearchStats& stats) {
+  CursorPage page;
+  page.stats = stats;
+  page.candidates = candidates;
+  return EncodeCursorPage(page);
+}
+
 /// The tentpole invariant, checked at the byte level.
 void ExpectPagedMatchesOneShot(World* world, uint64_t page_size) {
   const VectorObject& query = world->objects[world->objects.size() / 2];
   const std::vector<float> query_distances = world->QueryDistances(query);
-  auto one_shot = world->handler->Handle(
-      EncodeRangeSearchRequest(query_distances, kWideRadius));
-  ASSERT_TRUE(one_shot.ok()) << one_shot.status().ToString();
-  auto one_shot_decoded = DecodeCandidateResponse(*one_shot);
-  ASSERT_TRUE(one_shot_decoded.ok());
-  ASSERT_EQ(one_shot_decoded->candidates.size(), world->objects.size())
+  const CandidateResponse one_shot =
+      OneShotRange(world->handler.get(), query_distances, kWideRadius);
+  ASSERT_EQ(one_shot.candidates.size(), world->objects.size())
       << "the wide radius must admit every object";
 
   DrainResult drained =
       DrainCursor(world->handler.get(), query_distances, kWideRadius,
                   page_size);
-  EXPECT_EQ(drained.total, one_shot_decoded->candidates.size());
-  const Bytes reassembled =
-      EncodeCandidateResponse(drained.candidates, drained.open_stats);
-  EXPECT_EQ(reassembled, *one_shot)
+  EXPECT_EQ(drained.total, one_shot.candidates.size());
+  EXPECT_EQ(Canonical(drained.candidates, drained.open_stats),
+            Canonical(one_shot.candidates, one_shot.stats))
       << "paged concatenation diverges from one-shot at page size "
       << page_size;
 }
@@ -471,13 +492,11 @@ TEST(CursorTest, ChurnDuringPaginationStaysOnTheOpenSnapshot) {
   const std::vector<float> qd = world.QueryDistances(query);
 
   // The at-open oracle: every candidate id the snapshot can ever yield.
-  auto one_shot =
-      world.handler->Handle(EncodeRangeSearchRequest(qd, kWideRadius));
-  ASSERT_TRUE(one_shot.ok());
-  auto oracle = DecodeCandidateResponse(*one_shot);
-  ASSERT_TRUE(oracle.ok());
+  const CandidateResponse oracle =
+      OneShotRange(world.handler.get(), qd, kWideRadius);
+  ASSERT_FALSE(oracle.candidates.empty());
   std::set<metric::ObjectId> snapshot_ids;
-  for (const auto& candidate : oracle->candidates) {
+  for (const auto& candidate : oracle.candidates) {
     snapshot_ids.insert(candidate.id);
   }
 

@@ -26,6 +26,7 @@
 #include "secure/protocol.h"
 #include "secure/secret_key.h"
 #include "secure/server.h"
+#include "secure/sharded_server.h"
 #include "tests/net_test_util.h"
 
 namespace simcloud {
@@ -63,7 +64,8 @@ TEST_P(FuzzSeedTest, ResponseDecodersNeverCrashOnRandomBytes) {
   Rng rng(GetParam() + 100);
   for (int iter = 0; iter < 500; ++iter) {
     const Bytes garbage = RandomBytes(&rng, 300);
-    (void)secure::DecodeCandidateResponse(garbage);
+    (void)secure::DecodeBatchCandidateResponse(garbage);
+    (void)secure::DecodeCursorPage(garbage);
     (void)secure::DecodeInsertResponse(garbage);
     (void)secure::DecodeStatsResponse(garbage);
     // A malicious server can also push arbitrary watch frames.
@@ -267,8 +269,8 @@ TEST_F(TcpFrameFuzz, GarbageRequestIdsAndBodies) {
     Bytes garbage(1 + rng.NextBounded(64));
     for (auto& b : garbage) b = static_cast<uint8_t>(rng.NextBounded(256));
     const uint32_t id = 1 + static_cast<uint32_t>(rng.NextBounded(1u << 30));
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, id, garbage).ok());
-    auto frame = net::ReadAnyFrame(fd);
+    ASSERT_TRUE(net::WriteFrame(fd, id, garbage).ok());
+    auto frame = net::ReadFrame(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->request_id, id);
     BinaryReader reader(frame->payload);
@@ -287,7 +289,7 @@ TEST_F(TcpFrameFuzz, MidPipelineDisconnectsDoNotWedgeTheLoop) {
   for (int iter = 0; iter < 30; ++iter) {
     const int fd = RawConnect();
     for (uint32_t id = 1; id <= 8; ++id) {
-      ASSERT_TRUE(net::WritePipelinedFrame(fd, id, request).ok());
+      ASSERT_TRUE(net::WriteFrame(fd, id, request).ok());
     }
     ::close(fd);  // responses in flight hit a dead connection
   }
@@ -336,11 +338,11 @@ TEST_F(TcpFrameFuzz, WatchRegistrationsWithGarbageTokens) {
         request[i] = static_cast<uint8_t>(rng.NextBounded(256));
       }
     }
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, 3, request).ok());
+    ASSERT_TRUE(net::WriteFrame(fd, 3, request).ok());
     // Whatever happened — rejected token, decode error, or even an
     // accidental registration — the answer is a well-formed frame
     // echoing our id, and the abrupt close below must cost nothing.
-    auto frame = net::ReadAnyFrame(fd);
+    auto frame = net::ReadFrame(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->request_id, 3u);
     ::close(fd);
@@ -354,8 +356,8 @@ TEST_F(TcpFrameFuzz, WatchCancelsForUnknownIdsAnswerCleanly) {
   for (int iter = 0; iter < 40; ++iter) {
     const uint32_t id = 1 + static_cast<uint32_t>(iter);
     const Bytes request = secure::EncodeWatchCancelRequest(rng.NextU64());
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, id, request).ok());
-    auto frame = net::ReadAnyFrame(fd);
+    ASSERT_TRUE(net::WriteFrame(fd, id, request).ok());
+    auto frame = net::ReadFrame(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->request_id, id);
   }
@@ -373,8 +375,8 @@ TEST_F(TcpFrameFuzz, WatchersVanishingMidPushDoNotWedgeTheHub) {
   ASSERT_TRUE(writer.ok());
   for (int iter = 0; iter < 10; ++iter) {
     const int fd = RawConnect();
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, 1, watch_request).ok());
-    auto ack = net::ReadAnyFrame(fd);
+    ASSERT_TRUE(net::WriteFrame(fd, 1, watch_request).ok());
+    auto ack = net::ReadFrame(fd);
     ASSERT_TRUE(ack.ok()) << ack.status().ToString();
 
     // Mutations on another connection start push traffic at the watcher.
@@ -408,7 +410,7 @@ TEST_F(TcpFrameFuzz, WatchersVanishingMidPushDoNotWedgeTheHub) {
 
 // --------------------------------------------------------------------------
 // Cursor opcodes under hostility: garbage / stale / replayed cursor ids,
-// torn cursor frames, and cursor requests over legacy framing.
+// and torn cursor frames.
 // --------------------------------------------------------------------------
 
 namespace {
@@ -465,8 +467,8 @@ TEST_F(TcpFrameFuzz, CursorGarbageStaleAndReplayedIdsFailCleanly) {
   uint32_t frame = 1;
   auto round_trip = [&](const Bytes& request) {
     const uint32_t id = frame++;
-    EXPECT_TRUE(net::WritePipelinedFrame(fd, id, request).ok());
-    auto response = net::ReadAnyFrame(fd);
+    EXPECT_TRUE(net::WriteFrame(fd, id, request).ok());
+    auto response = net::ReadFrame(fd);
     EXPECT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response->request_id, id);
     return ParseResponseBody(response->payload);
@@ -549,8 +551,8 @@ TEST_F(TcpFrameFuzz, TornCursorFramesDoNotWedgeOrLeakCursors) {
   // A real open followed by a torn kCursorNext and an abrupt
   // disconnect: the server drops the connection AND reaps its cursor.
   const int fd = RawConnect();
-  ASSERT_TRUE(net::WritePipelinedFrame(fd, 1, open_request).ok());
-  auto response = net::ReadAnyFrame(fd);
+  ASSERT_TRUE(net::WriteFrame(fd, 1, open_request).ok());
+  auto response = net::ReadFrame(fd);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   ParsedBody open = ParseResponseBody(response->payload);
   ASSERT_TRUE(open.ok) << open.error;
@@ -574,76 +576,91 @@ TEST_F(TcpFrameFuzz, TornCursorFramesDoNotWedgeOrLeakCursors) {
   ExpectServerAlive();
 }
 
-TEST_F(TcpFrameFuzz, CursorOpcodesOverLegacyFramingFailCleanly) {
+TEST_F(TcpFrameFuzz, UnflaggedHeadersCloseBeforeAnyDispatch) {
+  // Every frame header carries bit 31. One without it — a bare u32
+  // length, whatever follows — is a protocol violation: the server
+  // closes the connection without handing anything to the handler, even
+  // when the bytes after it would parse as a complete request.
   SeedCursorObjects(handler_.get(), 8);
-  const int fd = RawConnect();
-  auto legacy_round_trip = [&](const Bytes& request) {
-    EXPECT_TRUE(net::WriteFrame(fd, request).ok());
-    auto body = net::ReadFrame(fd);
-    EXPECT_TRUE(body.ok()) << body.status().ToString();
-    return ParseResponseBody(*body);
-  };
-
-  // Stateful cursor opcodes over legacy (bit-31-clear) framing: a clean
-  // refusal naming the requirement — the connection is NOT closed.
-  ParsedBody open = legacy_round_trip(CursorOpenRequest(/*page_size=*/2));
-  EXPECT_FALSE(open.ok);
-  EXPECT_NE(open.error.find("pipelined"), std::string::npos) << open.error;
-  ParsedBody next = legacy_round_trip(secure::EncodeCursorNextRequest(1));
-  EXPECT_FALSE(next.ok);
-  EXPECT_NE(next.error.find("pipelined"), std::string::npos) << next.error;
-  // kCursorClose is stateless and idempotent: it answers a 0-ack even
-  // here (there is nothing to leak by answering).
-  ParsedBody close_ack =
-      legacy_round_trip(secure::EncodeCursorCloseRequest(12345));
-  EXPECT_TRUE(close_ack.ok) << close_ack.error;
-
-  // The SAME connection still serves ordinary legacy traffic.
-  ParsedBody stats = legacy_round_trip(secure::EncodeGetStatsRequest());
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_TRUE(secure::DecodeStatsResponse(stats.payload).ok());
-  EXPECT_EQ(handler_->cursors().counters().open, 0u);
-  ::close(fd);
+  const uint64_t dispatched_before = server_->frames_dispatched();
+  std::vector<secure::InsertItem> items(1);
+  items[0].id = 777;
+  items[0].pivot_distances = {1.0f, 2.0f, 3.0f, 4.0f};
+  items[0].payload = Bytes{0x42};
+  for (const Bytes& body :
+       {secure::EncodeGetStatsRequest(), secure::EncodeGetMetricsRequest(),
+        CursorOpenRequest(/*page_size=*/2),
+        secure::EncodeInsertBatchRequest(items)}) {
+    const int fd = RawConnect();
+    BinaryWriter frame;
+    frame.WriteU32(static_cast<uint32_t>(body.size()));
+    frame.WriteRaw(body.data(), body.size());
+    ASSERT_EQ(::send(fd, frame.buffer().data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    EXPECT_TRUE(WaitForClose(fd)) << "server kept an unflagged frame";
+    ::close(fd);
+  }
+  EXPECT_EQ(server_->frames_dispatched(), dispatched_before);
+  EXPECT_EQ(handler_->index().size(), 8u) << "an unflagged insert ran";
+  EXPECT_EQ(handler_->cursors().counters().opened_total, 0u);
   ExpectServerAlive();
 }
 
-TEST_F(TcpFrameFuzz, GetMetricsOverLegacyFramingFailsCleanly) {
-  const int fd = RawConnect();
-  auto legacy_round_trip = [&](const Bytes& request) {
-    EXPECT_TRUE(net::WriteFrame(fd, request).ok());
-    auto body = net::ReadFrame(fd);
-    EXPECT_TRUE(body.ok()) << body.status().ToString();
-    return ParseResponseBody(*body);
-  };
+TEST_F(TcpFrameFuzz, RetiredOpcodesAnswerCorruptionOnShardAndFacade) {
+  // Opcodes 2, 3 and 5 (the single-query range, approximate k-NN and
+  // delete) are retired: on the shard server and on the sharded facade
+  // each gets a Corruption error frame, and the same connection then
+  // answers a kPing.
+  mindex::MIndexOptions options;
+  options.num_pivots = 4;
+  options.max_level = 3;
+  auto facade = secure::ShardedServer::Create(options, 2);
+  ASSERT_TRUE(facade.ok());
+  net::TcpServer facade_server(facade->get());
+  ASSERT_TRUE(facade_server.Start(0).ok());
 
-  // kGetMetrics over legacy (bit-31-clear) framing: a clean refusal
-  // naming the requirement, no registry snapshot in the response, and
-  // the connection is NOT closed.
-  ParsedBody refused = legacy_round_trip(secure::EncodeGetMetricsRequest());
-  EXPECT_FALSE(refused.ok);
-  EXPECT_NE(refused.error.find("pipelined"), std::string::npos)
-      << refused.error;
-  EXPECT_TRUE(refused.payload.empty());
+  // Bodies shaped like the old requests: distances + radius, a query
+  // signature + budget, an id + permutation.
+  BinaryWriter range;
+  range.WriteU8(2);
+  range.WriteFloatVector({1.0f, 2.0f, 3.0f, 4.0f});
+  range.WriteDouble(5.0);
+  BinaryWriter knn;
+  knn.WriteU8(3);
+  knn.WriteFloatVector({});
+  knn.WriteU32Vector({0, 1, 2, 3});
+  knn.WriteBool(false);
+  knn.WriteVarint(10);
+  BinaryWriter del;
+  del.WriteU8(5);
+  del.WriteVarint(10000);
+  del.WriteU32Vector({0, 1, 2, 3});
 
-  // The SAME connection still serves ordinary legacy traffic.
-  ParsedBody stats = legacy_round_trip(secure::EncodeGetStatsRequest());
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_TRUE(secure::DecodeStatsResponse(stats.payload).ok());
-  ::close(fd);
-
-  // Over pipelined framing the same request answers a decodable
-  // snapshot on a raw socket.
-  const int piped = net::RawConnect(server_->port());
-  ASSERT_TRUE(
-      net::WritePipelinedFrame(piped, 3, secure::EncodeGetMetricsRequest())
-          .ok());
-  auto response = net::ReadAnyFrame(piped);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->request_id, 3u);
-  ParsedBody scraped = ParseResponseBody(response->payload);
-  ASSERT_TRUE(scraped.ok) << scraped.error;
-  EXPECT_TRUE(secure::DecodeMetricsResponse(scraped.payload).ok());
-  ::close(piped);
+  for (const uint16_t port : {server_->port(), facade_server.port()}) {
+    const int fd = net::RawConnect(port);
+    uint32_t id = 1;
+    for (const BinaryWriter* request : {&range, &knn, &del}) {
+      const uint8_t opcode = request->buffer()[0];
+      ASSERT_TRUE(net::WriteFrame(fd, id, request->buffer()).ok());
+      auto frame = net::ReadFrame(fd);
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      EXPECT_EQ(frame->request_id, id);
+      ParsedBody parsed = ParseResponseBody(frame->payload);
+      EXPECT_FALSE(parsed.ok);
+      EXPECT_EQ(parsed.error,
+                "Corruption: unknown opcode " + std::to_string(opcode));
+      ++id;
+    }
+    ASSERT_TRUE(net::WriteFrame(fd, id, secure::EncodePingRequest()).ok());
+    auto pong = net::ReadFrame(fd);
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_EQ(pong->request_id, id);
+    ParsedBody parsed = ParseResponseBody(pong->payload);
+    EXPECT_TRUE(parsed.ok) << parsed.error;
+    EXPECT_TRUE(parsed.payload.empty());
+    ::close(fd);
+  }
+  facade_server.Stop();
   ExpectServerAlive();
 }
 
@@ -660,8 +677,8 @@ TEST_F(TcpFrameFuzz, GetMetricsWithTrailingJunkOrTornFramesLeaksNothing) {
       junk.push_back(static_cast<uint8_t>(rng.NextBounded(256)));
     }
     const uint32_t id = 1 + static_cast<uint32_t>(iter);
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, id, junk).ok());
-    auto frame = net::ReadAnyFrame(fd);
+    ASSERT_TRUE(net::WriteFrame(fd, id, junk).ok());
+    auto frame = net::ReadFrame(fd);
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
     EXPECT_EQ(frame->request_id, id);
     ParsedBody parsed = ParseResponseBody(frame->payload);
@@ -670,9 +687,9 @@ TEST_F(TcpFrameFuzz, GetMetricsWithTrailingJunkOrTornFramesLeaksNothing) {
   }
   // A clean kGetMetrics on the same connection still works.
   ASSERT_TRUE(
-      net::WritePipelinedFrame(fd, 900, secure::EncodeGetMetricsRequest())
+      net::WriteFrame(fd, 900, secure::EncodeGetMetricsRequest())
           .ok());
-  auto good = net::ReadAnyFrame(fd);
+  auto good = net::ReadFrame(fd);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   ParsedBody scraped = ParseResponseBody(good->payload);
   ASSERT_TRUE(scraped.ok) << scraped.error;
@@ -786,14 +803,21 @@ TEST_F(SecureTcpFrameFuzz, PlaintextProtocolFramesAreHardClosed) {
   // attempt. The server must close without answering.
   const Bytes request = secure::EncodeGetStatsRequest();
   {
+    // An unflagged header (no request id), the violation even a
+    // plaintext server closes on.
     const int fd = RawConnect();
-    ASSERT_TRUE(net::WriteFrame(fd, request).ok());
-    EXPECT_TRUE(WaitForClose(fd)) << "secure server served a legacy frame";
+    BinaryWriter frame;
+    frame.WriteU32(static_cast<uint32_t>(request.size()));
+    frame.WriteRaw(request.data(), request.size());
+    ASSERT_EQ(::send(fd, frame.buffer().data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    EXPECT_TRUE(WaitForClose(fd))
+        << "secure server served an unflagged frame";
     ::close(fd);
   }
   {
     const int fd = RawConnect();
-    ASSERT_TRUE(net::WritePipelinedFrame(fd, 7, request).ok());
+    ASSERT_TRUE(net::WriteFrame(fd, 7, request).ok());
     EXPECT_TRUE(WaitForClose(fd));
     ::close(fd);
   }

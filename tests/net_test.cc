@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/clock.h"
@@ -185,7 +187,7 @@ TEST(TcpTest, SequentialConnectionsAreServed) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelining, wire back-compat, backpressure, and shutdown races.
+// Pipelining, frame bytes, backpressure, and shutdown races.
 // ---------------------------------------------------------------------------
 
 /// Request: u32 LE size; response: that many bytes. Lets a tiny request
@@ -272,73 +274,157 @@ TEST(PipelineTest, TcpPipelineDeeperThanServerInFlightCap) {
   server.Stop();
 }
 
-TEST(PipelineTest, LegacyCallsInterleaveWithPipelinedTraffic) {
-  EchoHandler handler;
+/// Echoes like EchoHandler, but holds any request starting with 0xB0
+/// until Release() (or 10 s pass), so a test can keep one request in
+/// flight on the server.
+class GatedEchoHandler : public RequestHandler {
+ public:
+  Result<Bytes> Handle(const Bytes& request) override {
+    if (!request.empty() && request[0] == 0xB0) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait_for(lock, std::chrono::seconds(10), [&] { return released_; });
+    }
+    return request;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool released_ = false;
+};
+
+TEST(PipelineTest, CallsInterleaveWithPipelinedTraffic) {
+  GatedEchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   auto transport = TcpTransport::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(transport.ok());
 
-  auto first = (*transport)->Submit(Bytes{1, 1, 1});
-  ASSERT_TRUE(first.ok());
-  auto called = (*transport)->Call(Bytes{7, 7});  // legacy frame, id 0
-  ASSERT_TRUE(called.ok());
+  // Call() takes its own request id, so it is no ordering barrier: it
+  // returns while a request Submitted before it is still held on the
+  // server.
+  auto held = (*transport)->Submit(Bytes{0xB0, 1, 1});
+  ASSERT_TRUE(held.ok());
+  Stopwatch latency;
+  auto called = (*transport)->Call(Bytes{7, 7});
+  ASSERT_TRUE(called.ok()) << called.status().ToString();
   EXPECT_EQ(*called, (Bytes{7, 7}));
+  EXPECT_LT(latency.ElapsedSeconds(), 5.0)
+      << "Call waited for an earlier, un-collected Submit";
   auto second = (*transport)->Submit(Bytes{2, 2});
   ASSERT_TRUE(second.ok());
   auto second_response = (*transport)->Collect(*second);
   ASSERT_TRUE(second_response.ok());
   EXPECT_EQ(*second_response, (Bytes{2, 2}));
-  auto first_response = (*transport)->Collect(*first);
-  ASSERT_TRUE(first_response.ok());
-  EXPECT_EQ(*first_response, (Bytes{1, 1, 1}));
+  handler.Release();
+  auto held_response = (*transport)->Collect(*held);
+  ASSERT_TRUE(held_response.ok());
+  EXPECT_EQ(*held_response, (Bytes{0xB0, 1, 1}));
+  EXPECT_EQ((*transport)->costs().calls, 3u);
   server.Stop();
 }
 
-TEST(TcpTest, LegacyWireFormatIsByteStable) {
-  // A pre-pipelining client speaks raw frames: u32 LE length + body, and
-  // expects u32 LE length + (u64 nanos, u8 ok, payload) back, in order.
+TEST(TcpTest, FrameBytesAreStable) {
+  // One request frame: u32 LE (length | bit 31), u32 LE id, body.
+  const Bytes body = {0x42, 0x43, 0x44, 0x45, 0x46};
+  const Bytes request_frame = {0x05, 0x00, 0x00, 0x80, 0x2A, 0x00, 0x00,
+                               0x00, 0x42, 0x43, 0x44, 0x45, 0x46};
+  // One response frame: the same header over u64 LE server nanos, the
+  // ok byte, and the payload.
+  const Bytes response_frame = {0x0E, 0x00, 0x00, 0x80, 0x01, 0x00, 0x00,
+                                0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03,
+                                0x02, 0x01, 0x01, 0x42, 0x43, 0x44, 0x45,
+                                0x46};
+  auto read_exactly = [](int fd, size_t n) {
+    Bytes bytes(n);
+    size_t got = 0;
+    while (got < n) {
+      const ssize_t r = ::recv(fd, bytes.data() + got, n - got, 0);
+      if (r <= 0) break;
+      got += static_cast<size_t>(r);
+    }
+    bytes.resize(got);
+    return bytes;
+  };
+
+  // The server reads the request bytes and answers with the response
+  // layout (its nanos vary; every other byte is fixed).
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   const int fd = RawConnect(server.port());
-
-  const Bytes body = {42, 43, 44, 45, 46};
-  for (int round = 0; round < 3; ++round) {
-    uint8_t header[4] = {static_cast<uint8_t>(body.size()), 0, 0, 0};
-    ASSERT_EQ(::send(fd, header, 4, 0), 4);
-    ASSERT_EQ(::send(fd, body.data(), body.size(), 0),
-              static_cast<ssize_t>(body.size()));
-
-    auto frame = ReadAnyFrame(fd);
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ(frame->request_id, 0u) << "legacy request must get a legacy "
-                                        "(unflagged) response frame";
-    EXPECT_EQ(ResponsePayloadOf(frame->payload), body);
-  }
+  ASSERT_EQ(::send(fd, request_frame.data(), request_frame.size(), 0),
+            static_cast<ssize_t>(request_frame.size()));
+  const Bytes answered = read_exactly(fd, response_frame.size());
+  ASSERT_EQ(answered.size(), response_frame.size());
+  Bytes expected_answer = response_frame;
+  expected_answer[4] = 0x2A;  // the request's id, echoed
+  for (size_t i = 8; i < 16; ++i) expected_answer[i] = answered[i];
+  EXPECT_EQ(answered, expected_answer);
   ::close(fd);
   server.Stop();
+
+  // The client writes exactly the request layout (its first id is 1)
+  // and reads the golden response, server nanos included.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  auto transport = TcpTransport::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(transport.ok());
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  auto ticket = (*transport)->Submit(body);
+  ASSERT_TRUE(ticket.ok());
+  EXPECT_EQ(*ticket, 1u);
+  Bytes expected_request = request_frame;
+  expected_request[4] = 0x01;
+  EXPECT_EQ(read_exactly(peer, expected_request.size()), expected_request);
+  ASSERT_EQ(::send(peer, response_frame.data(), response_frame.size(), 0),
+            static_cast<ssize_t>(response_frame.size()));
+  auto response = (*transport)->Collect(*ticket);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(*response, body);
+  EXPECT_EQ((*transport)->costs().server_nanos, 0x0102030405060708);
+  ::close(peer);
+  ::close(listener);
 }
 
 TEST(TcpTest, DribbledFramesAreReassembled) {
   // A frame arriving one byte at a time (torn across arbitrarily many
-  // reads) must be reassembled, for both framings.
+  // reads) must be reassembled.
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   const int fd = RawConnect(server.port());
 
   const Bytes body = {9, 8, 7, 6};
-  Bytes legacy_frame = {4, 0, 0, 0, 9, 8, 7, 6};
-  Bytes pipelined_frame = {4, 0, 0, 0x80, 0x2A, 0, 0, 0, 9, 8, 7, 6};
-  for (const Bytes* frame : {&legacy_frame, &pipelined_frame}) {
-    for (uint8_t byte : *frame) {
+  for (const uint8_t id : {0x2A, 0x2B}) {
+    const Bytes frame = {4, 0, 0, 0x80, id, 0, 0, 0, 9, 8, 7, 6};
+    for (uint8_t byte : frame) {
       ASSERT_EQ(::send(fd, &byte, 1, 0), 1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
-    auto response = ReadAnyFrame(fd);
+    auto response = ReadFrame(fd);
     ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->request_id, frame == &legacy_frame ? 0u : 0x2Au);
+    EXPECT_EQ(response->request_id, id);
     EXPECT_EQ(ResponsePayloadOf(response->payload), body);
   }
   ::close(fd);
@@ -362,7 +448,7 @@ TEST(TcpTest, SlowClientTripsBackpressureWithoutStallingOthers) {
   const Bytes request = InflateRequest(kResponseSize);
   for (int i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(
-        WritePipelinedFrame(slow_fd, static_cast<uint32_t>(i + 1), request)
+        WriteFrame(slow_fd, static_cast<uint32_t>(i + 1), request)
             .ok());
   }
 

@@ -470,6 +470,77 @@ TEST(SlowQuery, ThresholdZeroEmitsStructuredLineForTcpPing) {
 // kGetMetrics end to end: 3-shard secure TCP cluster under churn
 // ---------------------------------------------------------------------------
 
+TEST(GetMetricsCluster, ClientScrapesFacadeOverSecureTcp) {
+  // EncryptionClient::GetMetrics is a synchronous Call: over a secure
+  // TcpTransport to a facade (itself on secure shard connections) it
+  // must return the decodable merged snapshot.
+  constexpr size_t kShards = 2;
+  data::MixtureOptions data_options;
+  data_options.num_objects = 60;
+  data_options.dimension = 4;
+  data_options.num_clusters = 3;
+  data_options.seed = 421;
+  const std::vector<VectorObject> objects =
+      data::MakeGaussianMixture(data_options);
+  auto metric = std::make_shared<metric::L2Distance>();
+  auto pivots = mindex::PivotSet::SelectRandom(objects, 4, 422);
+  ASSERT_TRUE(pivots.ok());
+  auto key = secure::SecretKey::Create(std::move(*pivots), Bytes(16, 0x73));
+  ASSERT_TRUE(key.ok());
+  mindex::MIndexOptions index_options;
+  index_options.num_pivots = 4;
+  index_options.max_level = 3;
+
+  net::SecureChannelOptions secure_options;
+  secure_options.psk = Bytes(32, 0x78);
+  net::TcpServerOptions server_options;
+  server_options.worker_threads = 2;
+  server_options.channel_policy = net::ChannelPolicy::kSecure;
+  server_options.secure_channel = secure_options;
+
+  std::vector<std::unique_ptr<secure::EncryptedMIndexServer>> handlers;
+  std::vector<std::unique_ptr<net::TcpServer>> servers;
+  std::vector<secure::ShardEndpoint> endpoints;
+  for (size_t s = 0; s < kShards; ++s) {
+    auto handler = secure::EncryptedMIndexServer::Create(index_options);
+    ASSERT_TRUE(handler.ok()) << handler.status().ToString();
+    handlers.push_back(std::move(*handler));
+    servers.push_back(std::make_unique<net::TcpServer>(handlers.back().get(),
+                                                       server_options));
+    ASSERT_TRUE(servers.back()->Start(0).ok());
+    endpoints.push_back(
+        secure::ShardEndpoint{"127.0.0.1", servers.back()->port()});
+  }
+  auto facade = secure::ShardedServer::Connect(
+      endpoints, index_options.num_pivots, net::ChannelPolicy::kSecure,
+      secure_options);
+  ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+  net::TcpServer facade_server(facade->get(), server_options);
+  ASSERT_TRUE(facade_server.Start(0).ok());
+
+  auto transport = net::TcpTransport::Connect(
+      "127.0.0.1", facade_server.port(), net::ChannelPolicy::kSecure,
+      secure_options);
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+  secure::EncryptionClient client(*key, metric, transport->get());
+  ASSERT_TRUE(
+      client.InsertBulk(objects, secure::InsertStrategy::kPrecise, 30).ok());
+  ASSERT_TRUE(client.RangeSearch(objects[5], 1.0).ok());
+
+  auto scrape = client.GetMetrics();
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const uint64_t* searches =
+      scrape->counter("simcloud_requests_total{op=\"range_search_batch\"}");
+  ASSERT_NE(searches, nullptr);
+  EXPECT_GE(*searches, kShards);  // the search fanned out to every shard
+  EXPECT_EQ(scrape->counter("simcloud_requests_total{op=\"range_search\"}"),
+            nullptr);
+
+  facade_server.Stop();
+  facade->reset();
+  for (auto& server : servers) server->Stop();
+}
+
 TEST(GetMetricsCluster, SecureShardedScrapeEndToEndUnderChurn) {
   constexpr size_t kShards = 3;
   constexpr size_t kDim = 8;
@@ -603,7 +674,7 @@ TEST(GetMetricsCluster, SecureShardedScrapeEndToEndUnderChurn) {
 
   // Per-opcode accounting reached the shard registries over secure TCP.
   const uint64_t* searches =
-      metrics.counter("simcloud_requests_total{op=\"range_search\"}");
+      metrics.counter("simcloud_requests_total{op=\"range_search_batch\"}");
   ASSERT_NE(searches, nullptr);
   EXPECT_GT(*searches, 0u);
   const uint64_t* scrapes =
@@ -643,7 +714,7 @@ TEST(GetMetricsCluster, SecureShardedScrapeEndToEndUnderChurn) {
 
   // Latency histograms are well-formed: quantiles are monotone.
   const obs::HistogramSnapshot* latency = metrics.histogram(
-      "simcloud_request_nanos{op=\"range_search\"}");
+      "simcloud_request_nanos{op=\"range_search_batch\"}");
   ASSERT_NE(latency, nullptr);
   EXPECT_GT(latency->count, 0u);
   EXPECT_LE(latency->Quantile(0.5), latency->Quantile(0.99));

@@ -1,7 +1,7 @@
 // Batched query engine tests: FetchMany ordering on both storage
-// backends, byte-identity of the batch opcodes with the single-query
-// protocol (loopback and sharded), and payload-cache correctness across
-// evictions.
+// backends, byte-identity of a batch with batches of one and with the
+// index's single-query API (loopback and sharded), and payload-cache
+// correctness across evictions.
 
 #include <gtest/gtest.h>
 
@@ -458,7 +458,7 @@ TEST(QueryThreadsEnvTest, EnvOverridesOptionAtCreate) {
 }  // namespace
 }  // namespace mindex
 
-// ------------------------------------------------- batch == single-query
+// ------------------------------------------------- batch == batches of one
 
 namespace secure {
 namespace {
@@ -547,23 +547,39 @@ void ExpectSameCandidates(const CandidateResponse& batch,
   EXPECT_EQ(batch.stats.candidates, single.stats.candidates);
 }
 
+/// Handles `request`, a batch of one query, and returns that query's
+/// candidates and stats (empty, with a test failure, on any error).
+CandidateResponse OnlyQueryOf(net::RequestHandler* server,
+                              const Bytes& request, Bytes* raw = nullptr) {
+  auto bytes = server->Handle(request);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  if (!bytes.ok()) return {};
+  auto decoded = DecodeBatchCandidateResponse(*bytes);
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok() || decoded->query_count() != 1) {
+    ADD_FAILURE() << "not a batch of one";
+    return {};
+  }
+  if (raw != nullptr) *raw = std::move(*bytes);
+  return decoded->Materialize(0);
+}
+
 class BatchProtocolTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(BatchProtocolTest, RangeBatchMatchesSingleQueryOpcodes) {
+TEST_P(BatchProtocolTest, RangeBatchMatchesBatchesOfOne) {
   BatchWorld world = MakeBatchWorld(GetParam(), InsertStrategy::kPrecise);
   const std::vector<VectorObject> queries = TestQueries(world, 16);
   const double radius = 1.5;
 
   std::vector<mindex::RangeQuery> batch;
-  std::vector<Bytes> single_responses;
+  std::vector<CandidateResponse> singles;
   for (const VectorObject& query : queries) {
-    std::vector<float> distances =
-        world.key.pivots().ComputeDistances(query, *world.dataset.distance());
-    auto response =
-        world.server->Handle(EncodeRangeSearchRequest(distances, radius));
-    ASSERT_TRUE(response.ok());
-    single_responses.push_back(std::move(response).value());
-    batch.push_back(mindex::RangeQuery{std::move(distances), radius});
+    mindex::RangeQuery item{
+        world.key.pivots().ComputeDistances(query, *world.dataset.distance()),
+        radius};
+    singles.push_back(OnlyQueryOf(world.server.get(),
+                                  EncodeRangeSearchBatchRequest({item})));
+    batch.push_back(std::move(item));
   }
 
   auto batch_response_bytes =
@@ -574,30 +590,39 @@ TEST_P(BatchProtocolTest, RangeBatchMatchesSingleQueryOpcodes) {
   ASSERT_EQ(batch_responses->query_count(), queries.size());
 
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = DecodeCandidateResponse(single_responses[q]);
-    ASSERT_TRUE(single.ok());
-    ExpectSameCandidates(batch_responses->Materialize(q), *single, q);
+    ExpectSameCandidates(batch_responses->Materialize(q), singles[q], q);
+  }
+  // On one shard a batch of one also equals the index's own single-query
+  // API.
+  if (auto* shard = dynamic_cast<EncryptedMIndexServer*>(world.server.get())) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      CandidateResponse direct;
+      auto candidates = shard->index().RangeSearchCandidates(
+          batch[q].pivot_distances, radius, &direct.stats);
+      ASSERT_TRUE(candidates.ok());
+      direct.candidates = std::move(*candidates);
+      ExpectSameCandidates(singles[q], direct, q);
+    }
   }
 }
 
-TEST_P(BatchProtocolTest, ApproxKnnBatchMatchesSingleQueryOpcodes) {
+TEST_P(BatchProtocolTest, ApproxKnnBatchMatchesBatchesOfOne) {
   BatchWorld world = MakeBatchWorld(GetParam(), InsertStrategy::kPrecise);
   const std::vector<VectorObject> queries = TestQueries(world, 16);
   const uint64_t cand_size = 60;
 
   std::vector<mindex::KnnQuery> batch;
-  std::vector<Bytes> single_responses;
+  std::vector<CandidateResponse> singles;
   for (const VectorObject& query : queries) {
     std::vector<float> distances =
         world.key.pivots().ComputeDistances(query, *world.dataset.distance());
     mindex::QuerySignature signature;
     signature.pivot_distances = distances;
     signature.permutation = mindex::DistancesToPermutation(distances);
-    auto response =
-        world.server->Handle(EncodeApproxKnnRequest(signature, cand_size));
-    ASSERT_TRUE(response.ok());
-    single_responses.push_back(std::move(response).value());
-    batch.push_back(mindex::KnnQuery{std::move(signature), cand_size});
+    mindex::KnnQuery item{std::move(signature), cand_size};
+    singles.push_back(OnlyQueryOf(world.server.get(),
+                                  EncodeApproxKnnBatchRequest({item})));
+    batch.push_back(std::move(item));
   }
 
   auto batch_response_bytes =
@@ -608,9 +633,17 @@ TEST_P(BatchProtocolTest, ApproxKnnBatchMatchesSingleQueryOpcodes) {
   ASSERT_EQ(batch_responses->query_count(), queries.size());
 
   for (size_t q = 0; q < queries.size(); ++q) {
-    auto single = DecodeCandidateResponse(single_responses[q]);
-    ASSERT_TRUE(single.ok());
-    ExpectSameCandidates(batch_responses->Materialize(q), *single, q);
+    ExpectSameCandidates(batch_responses->Materialize(q), singles[q], q);
+  }
+  if (auto* shard = dynamic_cast<EncryptedMIndexServer*>(world.server.get())) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      CandidateResponse direct;
+      auto candidates = shard->index().ApproxKnnCandidates(
+          batch[q].signature, cand_size, &direct.stats);
+      ASSERT_TRUE(candidates.ok());
+      direct.candidates = std::move(*candidates);
+      ExpectSameCandidates(singles[q], direct, q);
+    }
   }
 }
 
@@ -626,25 +659,24 @@ TEST(BatchProtocolTest, RepeatedQueriesInBatchMatchSinglesAndShareBytes) {
   signature.pivot_distances = distances;
   signature.permutation = mindex::DistancesToPermutation(distances);
 
-  auto single_bytes =
-      world.server->Handle(EncodeApproxKnnRequest(signature, 50));
-  ASSERT_TRUE(single_bytes.ok());
-  auto single = DecodeCandidateResponse(*single_bytes);
-  ASSERT_TRUE(single.ok());
+  const mindex::KnnQuery item{signature, 50};
+  Bytes single_bytes;
+  const CandidateResponse single = OnlyQueryOf(
+      world.server.get(), EncodeApproxKnnBatchRequest({item}), &single_bytes);
+  ASSERT_FALSE(single.candidates.empty());
 
-  const std::vector<mindex::KnnQuery> batch(
-      32, mindex::KnnQuery{signature, 50});
+  const std::vector<mindex::KnnQuery> batch(32, item);
   auto batch_bytes = world.server->Handle(EncodeApproxKnnBatchRequest(batch));
   ASSERT_TRUE(batch_bytes.ok());
   auto decoded = DecodeBatchCandidateResponse(*batch_bytes);
   ASSERT_TRUE(decoded.ok());
   ASSERT_EQ(decoded->query_count(), batch.size());
   for (size_t q = 0; q < batch.size(); ++q) {
-    ExpectSameCandidates(decoded->Materialize(q), *single, q);
+    ExpectSameCandidates(decoded->Materialize(q), single, q);
   }
   // Dictionary: 32 identical queries share one payload set.
-  EXPECT_EQ(decoded->batch.payloads.size(), single->candidates.size());
-  EXPECT_LT(batch_bytes->size(), 2 * single_bytes->size() + 32 * 1024);
+  EXPECT_EQ(decoded->batch.payloads.size(), single.candidates.size());
+  EXPECT_LT(batch_bytes->size(), 2 * single_bytes.size() + 32 * 1024);
 }
 
 INSTANTIATE_TEST_SUITE_P(SingleAndSharded, BatchProtocolTest,

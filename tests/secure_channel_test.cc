@@ -244,8 +244,8 @@ TEST(SecureHandshakeTest, ReplayedTranscriptFailsAgainstFreshServer) {
 
 TEST(SecureHandshakeTest, NonHandshakeBytesAreHardRejected) {
   for (const Bytes& garbage :
-       {Bytes{0x05, 0x00, 0x00, 0x00, 4},        // legacy plaintext frame
-        Bytes{0x05, 0x00, 0x00, 0x80, 1, 0, 0},  // pipelined plaintext frame
+       {Bytes{0x05, 0x00, 0x00, 0x00, 4},        // unflagged plaintext header
+        Bytes{0x05, 0x00, 0x00, 0x80, 1, 0, 0},  // plaintext frame
         Bytes{'G', 'E', 'T', ' ', '/'},          // something else entirely
         Bytes{0xFF}}) {                          // even one wrong byte
     ServerHandshake server(TestOptions());
@@ -666,11 +666,11 @@ TEST(DowngradeTest, PlaintextClientAgainstSecureServerIsClosed) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(handler.handled(), 0);
 
-  // A raw legacy frame (the pre-pipelining wire): same hard close.
+  // A raw unflagged header (no request id): same hard close.
   const int fd = RawConnect(server.port());
-  const uint8_t legacy[] = {3, 0, 0, 0, 9, 9, 9};
-  ASSERT_EQ(::send(fd, legacy, sizeof(legacy), MSG_NOSIGNAL),
-            static_cast<ssize_t>(sizeof(legacy)));
+  const uint8_t unflagged[] = {3, 0, 0, 0, 9, 9, 9};
+  ASSERT_EQ(::send(fd, unflagged, sizeof(unflagged), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(unflagged)));
   uint8_t sink[64];
   // recv returns 0 on the server's close (possibly after a moment).
   ssize_t n;

@@ -287,57 +287,83 @@ TEST(ProtocolTest, InsertRequestRoundTrip) {
 }
 
 TEST(ProtocolTest, SearchRequestsRoundTrip) {
-  auto range = DecodeRequest(EncodeRangeSearchRequest({3.0f, 4.0f}, 2.5));
+  mindex::RangeQuery range_query;
+  range_query.pivot_distances = {3.0f, 4.0f};
+  range_query.radius = 2.5;
+  auto range = DecodeRequest(EncodeRangeSearchBatchRequest({range_query}));
   ASSERT_TRUE(range.ok());
-  EXPECT_EQ(range->op, Op::kRangeSearch);
-  EXPECT_EQ(range->query_distances, std::vector<float>({3.0f, 4.0f}));
-  EXPECT_DOUBLE_EQ(range->radius, 2.5);
+  EXPECT_EQ(range->op, Op::kRangeSearchBatch);
+  ASSERT_EQ(range->range_queries.size(), 1u);
+  EXPECT_EQ(range->range_queries[0].pivot_distances,
+            std::vector<float>({3.0f, 4.0f}));
+  EXPECT_DOUBLE_EQ(range->range_queries[0].radius, 2.5);
 
-  mindex::QuerySignature signature;
-  signature.permutation = {2, 0, 1};
-  auto knn = DecodeRequest(EncodeApproxKnnRequest(signature, 150));
+  mindex::KnnQuery knn_query;
+  knn_query.signature.permutation = {2, 0, 1};
+  knn_query.cand_size = 150;
+  auto knn = DecodeRequest(EncodeApproxKnnBatchRequest({knn_query}));
   ASSERT_TRUE(knn.ok());
-  EXPECT_EQ(knn->op, Op::kApproxKnn);
-  EXPECT_EQ(knn->query.permutation, mindex::Permutation({2, 0, 1}));
-  EXPECT_EQ(knn->cand_size, 150u);
+  EXPECT_EQ(knn->op, Op::kApproxKnnBatch);
+  ASSERT_EQ(knn->knn_queries.size(), 1u);
+  EXPECT_EQ(knn->knn_queries[0].signature.permutation,
+            mindex::Permutation({2, 0, 1}));
+  EXPECT_EQ(knn->knn_queries[0].cand_size, 150u);
 }
 
 TEST(ProtocolTest, DeleteRequestRoundTrip) {
-  auto request = DecodeRequest(EncodeDeleteRequest(42, {3, 1, 0, 2}));
+  auto request = DecodeRequest(EncodeDeleteBatchRequest({{42, {3, 1, 0, 2}}}));
   ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->op, Op::kDelete);
-  EXPECT_EQ(request->delete_id, 42u);
-  EXPECT_EQ(request->delete_permutation, mindex::Permutation({3, 1, 0, 2}));
+  EXPECT_EQ(request->op, Op::kDeleteBatch);
+  ASSERT_EQ(request->delete_items.size(), 1u);
+  EXPECT_EQ(request->delete_items[0].id, 42u);
+  EXPECT_EQ(request->delete_items[0].permutation,
+            mindex::Permutation({3, 1, 0, 2}));
 }
 
 TEST(ProtocolTest, RejectsTruncatedRequests) {
-  const Bytes full = EncodeDeleteRequest(42, {3, 1, 0, 2});
+  const Bytes full = EncodeDeleteBatchRequest({{42, {3, 1, 0, 2}}});
   for (size_t len = 1; len + 1 < full.size(); len += 3) {
     Bytes truncated(full.begin(), full.begin() + len);
     EXPECT_FALSE(DecodeRequest(truncated).ok()) << "length " << len;
   }
 }
 
-TEST(ProtocolTest, CandidateResponseRoundTrip) {
+TEST(ProtocolTest, BatchOfOneCandidateResponseRoundTrip) {
   mindex::CandidateList candidates(2);
   candidates[0] = {11, 0.5, Bytes{1, 2}};
   candidates[1] = {12, 1.5, Bytes{3}};
+  mindex::BatchCandidates batch;
+  batch.payloads = {Bytes{1, 2}, Bytes{3}};
+  batch.per_query = {{{11, 0.5, 0}, {12, 1.5, 1}}};
   mindex::SearchStats stats;
   stats.cells_visited = 3;
   stats.candidates = 2;
-  const Bytes encoded = EncodeCandidateResponse(candidates, stats);
-  auto response = DecodeCandidateResponse(encoded);
+  const Bytes encoded = EncodeBatchCandidateResponse(batch, {stats});
+  auto response = DecodeBatchCandidateResponse(encoded);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->stats.cells_visited, 3u);
-  ASSERT_EQ(response->candidates.size(), 2u);
-  EXPECT_EQ(response->candidates[0].id, 11u);
-  EXPECT_DOUBLE_EQ(response->candidates[1].score, 1.5);
-  EXPECT_EQ(response->candidates[1].payload, Bytes{3});
+  ASSERT_EQ(response->query_count(), 1u);
+  const CandidateResponse only = response->Materialize(0);
+  EXPECT_EQ(only.stats.cells_visited, 3u);
+  EXPECT_EQ(only.stats.candidates, 2u);
+  ASSERT_EQ(only.candidates.size(), 2u);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(only.candidates[i].id, candidates[i].id);
+    EXPECT_DOUBLE_EQ(only.candidates[i].score, candidates[i].score);
+    EXPECT_EQ(only.candidates[i].payload, candidates[i].payload);
+  }
 }
 
 TEST(ProtocolTest, RejectsUnknownOpcode) {
   EXPECT_FALSE(DecodeRequest(Bytes{0xFD}).ok());
   EXPECT_FALSE(DecodeRequest(Bytes{}).ok());
+  // The retired single-query opcodes are unknown, whatever follows them.
+  for (const uint8_t retired : {2, 3, 5}) {
+    auto request = DecodeRequest(Bytes{retired, 1, 2, 3, 4});
+    ASSERT_FALSE(request.ok());
+    EXPECT_EQ(request.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(request.status().message(),
+              "unknown opcode " + std::to_string(retired));
+  }
 }
 
 // ------------------------------------------------- Client-server searches

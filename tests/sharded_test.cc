@@ -181,6 +181,61 @@ TEST(ShardedServerTest, DeleteRoutesToOwningShard) {
       [&](const metric::Neighbor& n) { return n.id == victim.id(); }));
 }
 
+TEST(ShardedServerTest, DeleteOfAbsentObjectIsNotFoundOnShardAndFacade) {
+  // Delete is a batch of one; an object that is not indexed reads as
+  // NotFound on a shard server and on the facade, through loopback and
+  // through TCP alike.
+  data::MixtureOptions mixture;
+  mixture.num_objects = 120;
+  mixture.dimension = 8;
+  mixture.num_clusters = 4;
+  mixture.seed = 611;
+  metric::Dataset dataset("absent", data::MakeGaussianMixture(mixture),
+                          std::make_shared<metric::L2Distance>());
+  auto pivots = mindex::PivotSet::SelectRandom(dataset.objects(), 10, 612);
+  ASSERT_TRUE(pivots.ok());
+  auto key = SecretKey::Create(std::move(pivots).value(), Bytes(16, 0x53));
+  ASSERT_TRUE(key.ok());
+  const std::vector<VectorObject> stored(dataset.objects().begin(),
+                                         dataset.objects().end() - 1);
+  const VectorObject& never_stored = dataset.objects().back();
+
+  mindex::MIndexOptions index_options;
+  index_options.num_pivots = 10;
+  index_options.bucket_capacity = 40;
+  index_options.max_level = 4;
+  auto shard = EncryptedMIndexServer::Create(index_options);
+  ASSERT_TRUE(shard.ok());
+  auto facade = ShardedServer::Create(index_options, 3);
+  ASSERT_TRUE(facade.ok());
+  for (net::RequestHandler* handler :
+       {static_cast<net::RequestHandler*>(shard->get()),
+        static_cast<net::RequestHandler*>(facade->get())}) {
+    net::TcpServer server(handler);
+    ASSERT_TRUE(server.Start(0).ok());
+    auto tcp = net::TcpTransport::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(tcp.ok());
+    net::LoopbackTransport loopback(handler);
+    EncryptionClient tcp_client(*key, dataset.distance(), tcp->get());
+    EncryptionClient loopback_client(*key, dataset.distance(), &loopback);
+    ASSERT_TRUE(
+        tcp_client.InsertBulk(stored, InsertStrategy::kPrecise, 60).ok());
+    for (EncryptionClient* client : {&tcp_client, &loopback_client}) {
+      Status absent = client->Delete(never_stored);
+      EXPECT_EQ(absent.code(), StatusCode::kNotFound) << absent.ToString();
+    }
+    ASSERT_TRUE(tcp_client.Delete(stored[7]).ok());
+    for (EncryptionClient* client : {&tcp_client, &loopback_client}) {
+      Status again = client->Delete(stored[7]);
+      EXPECT_EQ(again.code(), StatusCode::kNotFound) << again.ToString();
+    }
+    auto stats = tcp_client.GetServerStats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->object_count, stored.size() - 1);
+    server.Stop();
+  }
+}
+
 TEST(ShardedServerTest, StatsAggregateAcrossShards) {
   auto world = MakeShardedWorld(4);
   auto stats = world.client->GetServerStats();

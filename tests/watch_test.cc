@@ -1,6 +1,6 @@
 // End-to-end tests for live change streams (kWatch): ordered delivery
 // against an in-memory oracle, resume tokens across reconnects, replay
-// ring overflow, cancellation, legacy-framing rejection, slow-watcher
+// ring overflow, cancellation, rejection without a push path, slow-watcher
 // backpressure isolation, range-filtered watches, and composite tokens
 // over a sharded facade.
 //
@@ -344,31 +344,30 @@ TEST(WatchTest, CancelStopsDeliveryAndLeavesConnectionUsable) {
   cluster.server->Stop();
 }
 
-TEST(WatchTest, LegacyFramingGetsCleanErrorAndStaysUsable) {
+TEST(WatchTest, LoopbackGetsCleanErrorAndStaysUsable) {
+  // A loopback transport has no push path, so kWatch answers a clean
+  // FailedPrecondition — on the shard server and on the facade — and the
+  // handler keeps serving everything else through it.
   const std::vector<VectorObject> objects = MakeObjects(40, 1405);
-  Cluster cluster = StartCluster(objects, /*num_shards=*/1);
+  for (const size_t shards : {size_t{1}, size_t{2}}) {
+    Cluster cluster = StartCluster(objects, shards);
+    net::LoopbackTransport loopback(cluster.handler.get());
+    EncryptionClient client(*cluster.key, cluster.metric, &loopback);
+    auto refused = loopback.Call(EncodeWatchRequest(WatchFilter{}, {}));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(refused.status().message().find("kWatch needs"),
+              std::string::npos)
+        << refused.status().ToString();
 
-  auto transport = cluster.Connect();
-  ASSERT_TRUE(transport.ok());
-
-  // Call() speaks the legacy (bit-31-clear, id 0) framing: the server
-  // cannot push on it, so kWatch must answer a clean error frame.
-  auto answered = (*transport)->Call(EncodeWatchRequest(WatchFilter{}, {}));
-  ASSERT_FALSE(answered.ok());
-  EXPECT_NE(answered.status().message().find("kWatch needs"),
-            std::string::npos)
-      << answered.status().ToString();
-
-  // ...and the connection is not poisoned: legacy and pipelined traffic
-  // both keep working on it.
-  EncryptionClient client(*cluster.key, cluster.metric, transport->get());
-  ASSERT_TRUE(client.Ping().ok());
-  ASSERT_TRUE(client.InsertBulk(objects, InsertStrategy::kPrecise, 40).ok());
-  auto stream = client.WatchAll();
-  ASSERT_TRUE(stream.ok());
-  EXPECT_TRUE((*stream)->Cancel().ok());
-  stream->reset();
-  cluster.server->Stop();
+    ASSERT_TRUE(client.Ping().ok());
+    ASSERT_TRUE(
+        client.InsertBulk(objects, InsertStrategy::kPrecise, 40).ok());
+    auto stats = client.GetServerStats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->object_count, objects.size());
+    cluster.server->Stop();
+  }
 }
 
 TEST(WatchTest, SlowWatcherParksWithoutStallingOtherConnections) {
